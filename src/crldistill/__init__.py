@@ -12,7 +12,8 @@ from .divergence import (JENSEN_SHANNON, REVERSE_KL, divergence_gradient,
                          phi)
 from .env import (EnumerationCapExceeded, TokenMdp, Trajectory, chain,
                   chain_with_distractors, enumerate_trajectories, load_task,
-                  rollout, rollout_many, save_task, step, tension_teacher)
+                  rollout, rollout_batch, rollout_many, save_task, step,
+                  tension_teacher)
 from .evaluation import EvalResult, evaluate_policy, violation_probability
 from .gradients import (GradientEstimate, exact_gradient,
                         explicit_dependence_term, finite_difference_gradient,

@@ -103,7 +103,8 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
     """Sample one episode under the student, recording teacher divergences.
 
     Costs at each visited state are computed against the teacher with the
-    divergence kinds named in `spec`.
+    divergence kinds named in `spec`. Draws one `rng.random()` per step; this
+    scalar path is the reference that `rollout_batch` reproduces.
     """
     from . import divergence as dv
 
@@ -118,8 +119,10 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
         states.append(s)
         tokens.append(a)
         rewards.append(r)
-        costs.append(dv.per_state_cost(student, teacher, s, spec.cost_kind))
-        pens.append(dv.phi(student, teacher, s, spec.penalty_kind))
+        cost = dv.per_state_cost(student, teacher, s, spec.cost_kind)
+        costs.append(cost)
+        pens.append(cost if spec.penalty_kind == spec.cost_kind
+                    else dv.phi(student, teacher, s, spec.penalty_kind))
         s = nxt
         if done:
             terminated = True
@@ -127,60 +130,72 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
     return Trajectory(states, tokens, rewards, costs, pens, terminated, not terminated)
 
 
-def rollout_many(mdp, student, teacher, spec, rng: np.random.Generator,
-                 count: int) -> list[Trajectory]:
-    """Vectorized sampling of `count` episodes from a single RNG stream.
+def rollout_batch(mdp, student, teacher, spec,
+                  uniforms: np.ndarray) -> list[Trajectory]:
+    """Sample one episode per row of `uniforms`, shape (B, horizon_cap).
 
-    Used for evaluation-scale sampling; training uses per-rollout streams.
+    Row k acts at step t on `uniforms[k, t]` with the token rule of
+    `rollout`: the number of cumulative probabilities <= u, clipped to
+    vocab_size - 1. A row filled with the first horizon_cap draws of a stream
+    therefore gives the episode `rollout` samples from that stream. The
+    student is fixed for the call, so its cumulative-probability, cost and
+    penalty tables are built once and all rows step together.
     """
     from . import divergence as dv
 
-    probs = np.stack([student.action_probs(s) for s in range(mdp.num_states)])
-    cost = np.array([dv.per_state_cost(student, teacher, s, spec.cost_kind)
-                     for s in range(mdp.num_states)])
-    pen = np.array([dv.phi(student, teacher, s, spec.penalty_kind)
-                    for s in range(mdp.num_states)])
-    cum = np.cumsum(probs, axis=1)
+    u = np.asarray(uniforms, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != mdp.horizon_cap:
+        raise ValueError("uniforms must have shape (batch, horizon_cap)")
+    n = mdp.num_states
+    cum = np.stack([np.cumsum(student.action_probs(s)) for s in range(n)])
+    cost = [dv.per_state_cost(student, teacher, s, spec.cost_kind)
+            for s in range(n)]
+    pen = cost if spec.penalty_kind == spec.cost_kind else \
+        [dv.phi(student, teacher, s, spec.penalty_kind) for s in range(n)]
+    terminal = np.zeros(n, dtype=bool)
+    terminal[list(mdp.terminal_states)] = True
 
+    count = u.shape[0]
+    states = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
+    tokens = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
+    lengths = np.zeros(count, dtype=np.int64)
     state = np.full(count, mdp.initial_state, dtype=np.int64)
     alive = np.ones(count, dtype=bool)
-    term_mask = np.zeros(mdp.num_states, dtype=bool)
-    for t in mdp.terminal_states:
-        term_mask[t] = True
-    reward_vec = np.zeros(mdp.num_states)
-    for t, r in mdp.task_reward.items():
-        reward_vec[t] = r
-
-    paths_s = [[] for _ in range(count)]
-    paths_a = [[] for _ in range(count)]
-    paths_r = [[] for _ in range(count)]
-    done_term = np.zeros(count, dtype=bool)
-
-    for _ in range(mdp.horizon_cap):
-        if not alive.any():
+    for t in range(mdp.horizon_cap):
+        rows = np.flatnonzero(alive)
+        if rows.size == 0:
             break
-        idx = np.nonzero(alive)[0]
-        u = rng.random(idx.size)
-        toks = (u[:, None] > cum[state[idx]]).sum(axis=1)
-        nxt = mdp.transition[state[idx], toks]
-        done = term_mask[nxt]
-        rew = np.where(done, reward_vec[nxt], 0.0)
-        for j, i in enumerate(idx):
-            paths_s[i].append(int(state[i]))
-            paths_a[i].append(int(toks[j]))
-            paths_r[i].append(float(rew[j]))
-        state[idx] = nxt
-        done_term[idx[done]] = True
-        alive[idx[done]] = False
+        s = state[rows]
+        a = np.minimum((cum[s] <= u[rows, t, None]).sum(axis=1),
+                       mdp.vocab_size - 1)
+        states[rows, t] = s
+        tokens[rows, t] = a
+        lengths[rows] = t + 1
+        state[rows] = mdp.transition[s, a]
+        alive[rows[terminal[state[rows]]]] = False
 
     out = []
-    for i in range(count):
-        ss = paths_s[i]
-        out.append(Trajectory(ss, paths_a[i], paths_r[i],
-                              [float(cost[s]) for s in ss],
-                              [float(pen[s]) for s in ss],
-                              bool(done_term[i]), not bool(done_term[i])))
+    for k in range(count):
+        length = int(lengths[k])
+        ss = states[k, :length].tolist()
+        done = bool(terminal[state[k]])
+        rewards = [0.0] * length
+        if done:
+            rewards[-1] = mdp.reward_at(int(state[k]))
+        out.append(Trajectory(ss, tokens[k, :length].tolist(), rewards,
+                              [cost[s] for s in ss], [pen[s] for s in ss],
+                              done, not done))
     return out
+
+
+def rollout_many(mdp, student, teacher, spec, rng: np.random.Generator,
+                 count: int) -> list[Trajectory]:
+    """`count` episodes from a single RNG stream, horizon_cap draws each.
+
+    Used for evaluation-scale sampling; training uses per-rollout streams.
+    """
+    return rollout_batch(mdp, student, teacher, spec,
+                         rng.random((count, mdp.horizon_cap)))
 
 
 def enumerate_trajectories(mdp, student, teacher, spec,

@@ -28,6 +28,19 @@ class GradientEstimate:
     num_trajectories: int
 
 
+class _PerState(dict):
+    """Per-call memo of a function of the state: the student is fixed within
+    one estimator call, so each distinct state is evaluated once."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, state):
+        value = self[state] = self.fn(state)
+        return value
+
+
 def _returns_to_go(rewards: list[float], discount: float) -> list[float]:
     g = 0.0
     out = [0.0] * len(rewards)
@@ -80,7 +93,6 @@ def likelihood_ratio_term(student, trajectories: list[Trajectory],
                 totals = [credits[i][0] if credits[i] else 0.0 for i in members]
                 scale = float(np.std(totals)) + 1e-8
                 for i in members:
-                    base[i] = [b for b in base[i]]
                     credits[i] = [(c - b) / scale + b
                                   for c, b in zip(credits[i], base[i])]
     elif baseline == BASELINE_NONE:
@@ -88,11 +100,12 @@ def likelihood_ratio_term(student, trajectories: list[Trajectory],
     else:
         raise ValueError(f"unknown baseline mode {baseline!r}")
 
+    probs = _PerState(student.action_probs)
     table = np.zeros_like(student.logits)
     for traj, cred, bs in zip(trajectories, credits, base):
         for s, a, c, b in zip(traj.states, traj.tokens, cred, bs):
             adv = c - b
-            table[s] -= adv * student.action_probs(s)
+            table[s] -= adv * probs[s]
             table[s, a] += adv
     table /= max(len(trajectories), 1)
     return table
@@ -101,14 +114,15 @@ def likelihood_ratio_term(student, trajectories: list[Trajectory],
 def explicit_dependence_term(student, teacher, trajectories: list[Trajectory],
                              spec: ConstrainedRewardSpec) -> np.ndarray:
     """Minus the divergence-penalty gradient on boundary or violated steps."""
+    grads = _PerState(lambda s: dv.divergence_gradient(
+        student, teacher, s, spec.penalty_kind))
     table = np.zeros_like(student.logits)
     for traj in trajectories:
         flags = shaping.boundary_flags(traj, spec)
         scale = 1.0
         for s, flagged in zip(traj.states, flags):
             if flagged:
-                table -= scale * dv.divergence_gradient(
-                    student, teacher, s, spec.penalty_kind)
+                table -= scale * grads[s]
             scale *= spec.discount
     table /= max(len(trajectories), 1)
     return table
@@ -125,11 +139,12 @@ def divergence_pull_term(student, teacher, trajectories: list[Trajectory],
     table = np.zeros_like(student.logits)
     if weight == 0.0:
         return table
+    grads = _PerState(lambda s: dv.divergence_gradient(
+        student, teacher, s, kind))
     for traj in trajectories:
         scale = 1.0
         for s in traj.states:
-            table -= weight * scale * dv.divergence_gradient(
-                student, teacher, s, kind)
+            table -= weight * scale * grads[s]
             scale *= discount
     table /= max(len(trajectories), 1)
     return table

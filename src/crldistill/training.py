@@ -56,6 +56,7 @@ class TrainConfig:
 class Checkpoint:
     epoch: int
     logits: np.ndarray
+    floor: float
     optimizer_state: dict
     metrics: dict
 
@@ -124,17 +125,17 @@ def _make_optimizer(config: TrainConfig, state=None):
 
 def _sample_batch(mdp, student, teacher, config: TrainConfig,
                   epoch: int, batch: int, phase: int):
-    trajectories = []
-    groups = []
-    for g in range(config.groups_per_batch):
-        members = []
-        for i in range(config.rollouts_per_group):
-            rng = np.random.default_rng(
-                [config.seed, phase, epoch, batch, g, i])
-            members.append(len(trajectories))
-            trajectories.append(
-                env_mod.rollout(mdp, student, teacher, config.spec, rng))
-        groups.append(members)
+    """One training batch; rollout i of group g draws its horizon_cap
+    uniforms from the stream keyed (seed, phase, epoch, batch, g, i)."""
+    size = config.rollouts_per_group
+    uniforms = np.stack([
+        np.random.default_rng(
+            [config.seed, phase, epoch, batch, g, i]).random(mdp.horizon_cap)
+        for g in range(config.groups_per_batch) for i in range(size)])
+    trajectories = env_mod.rollout_batch(mdp, student, teacher, config.spec,
+                                         uniforms)
+    groups = [list(range(g * size, (g + 1) * size))
+              for g in range(config.groups_per_batch)]
     return trajectories, groups
 
 
@@ -188,7 +189,8 @@ def train(mdp, teacher, config: TrainConfig,
             "violation_probability": result.violation_probability,
         }
         checkpoints.append(Checkpoint(epoch, student.logits.copy(),
-                                      optimizer.state(), dict(metrics)))
+                                      student.floor, optimizer.state(),
+                                      dict(metrics)))
         if log_file is not None:
             log_file.write(_log_line(epoch, label, metrics))
     return student, checkpoints
@@ -197,7 +199,7 @@ def train(mdp, teacher, config: TrainConfig,
 def resume(mdp, teacher, config: TrainConfig, checkpoint: Checkpoint,
            log_file=None, phase: int = 1):
     """Continue a run from a checkpoint; bit-identical to the original run."""
-    policy = SoftmaxPolicy(checkpoint.logits.copy())
+    policy = SoftmaxPolicy(checkpoint.logits.copy(), checkpoint.floor)
     return train(mdp, teacher, config, initial_policy=policy,
                  start_epoch=checkpoint.epoch + 1,
                  optimizer_state=copy.deepcopy(checkpoint.optimizer_state),

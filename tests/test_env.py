@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from crldistill import env, policies
+from crldistill import env, policies, shaping
+from crldistill.divergence import JENSEN_SHANNON, REVERSE_KL
 from crldistill.env import EnumerationCapExceeded, TokenMdp
 from crldistill.policies import SoftmaxPolicy, TeacherPolicy
 from crldistill.shaping import ConstrainedRewardSpec
@@ -84,6 +85,101 @@ def test_rollout_records_costs_at_acting_states():
     assert traj.terminated and not traj.truncated
     assert traj.total_task_reward == 1.0
     assert len(traj.costs) == len(traj)
+
+
+class _FixedStream:
+    """Stand-in generator that hands out prepared uniforms in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.used = 0
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out = self.values[self.used:self.used + n]
+        self.used += n
+        return float(out[0]) if size is None else out.reshape(size)
+
+
+def looping_mdp(horizon_cap=4):
+    """Token 1 loops on the start state, so episodes can truncate; token 0
+    advances to a state whose token 0 reaches the goal."""
+    trans = np.array([[1, 0, 3], [2, 0, 3], [2, 2, 2], [3, 3, 3]])
+    return TokenMdp(4, 3, trans, 0, frozenset({2, 3}), horizon_cap,
+                    {2: 1.0, 3: 0.0})
+
+
+def assert_same_trajectory(a, b):
+    assert a.states == b.states
+    assert a.tokens == b.tokens
+    assert a.task_rewards == b.task_rewards
+    assert a.costs == b.costs
+    assert a.penalty_divergences == b.penalty_divergences
+    assert (a.terminated, a.truncated) == (b.terminated, b.truncated)
+
+
+@pytest.mark.parametrize("penalty_kind", [REVERSE_KL, JENSEN_SHANNON])
+@pytest.mark.parametrize("mode", shaping.MODES)
+def test_rollout_batch_matches_rollout_per_key(mode, penalty_kind):
+    mdp = looping_mdp()
+    rng = np.random.default_rng(11)
+    student = SoftmaxPolicy(rng.normal(size=(4, 3)))
+    teacher = TeacherPolicy(rng.dirichlet(np.ones(3), size=4))
+    spec = ConstrainedRewardSpec(mode=mode, penalty_kind=penalty_kind)
+    keys = [[5, k] for k in range(64)]
+    uniforms = np.stack([np.random.default_rng(key).random(mdp.horizon_cap)
+                         for key in keys])
+    batch = env.rollout_batch(mdp, student, teacher, spec, uniforms)
+    for key, traj in zip(keys, batch):
+        assert_same_trajectory(
+            traj, env.rollout(mdp, student, teacher, spec,
+                              np.random.default_rng(key)))
+    # the batch covers a row truncated at horizon_cap and a row that
+    # terminates on its last allowed step
+    full = [t for t in batch if len(t) == mdp.horizon_cap]
+    assert any(t.truncated for t in full)
+    assert any(t.terminated for t in full)
+    if penalty_kind != spec.cost_kind:
+        assert any(t.costs != t.penalty_divergences for t in batch)
+
+
+def test_sampling_rule_on_cumulative_boundaries():
+    mdp = looping_mdp(horizon_cap=2)
+    # unfloored uniform rows: cumulative probabilities 1/3, 2/3, 1 exactly
+    # as np.cumsum rounds them; u on a boundary takes the next token, and
+    # u >= cum[-1] clips to the last token
+    student = SoftmaxPolicy.uniform(4, 3, floor=0.0)
+    teacher = TeacherPolicy(np.full((4, 3), 1.0 / 3.0))
+    spec = ConstrainedRewardSpec()
+    cum = np.cumsum(student.action_probs(0))
+    uniforms = np.array([[cum[0], cum[0]],
+                         [cum[1], 0.0],
+                         [cum[2], 0.0],
+                         [np.nextafter(cum[2], 2.0), 0.0],
+                         [np.nextafter(cum[0], 0.0), cum[0]]])
+    trajs = env.rollout_many(mdp, student, teacher, spec,
+                             _FixedStream(uniforms.ravel()), len(uniforms))
+    assert [t.tokens for t in trajs] == [[1, 1], [2], [2], [2], [0, 1]]
+    for row, traj in zip(uniforms, trajs):
+        assert_same_trajectory(
+            traj, env.rollout(mdp, student, teacher, spec, _FixedStream(row)))
+
+
+def test_rollout_batch_checks_uniform_shape():
+    mdp = looping_mdp()
+    student, teacher = uniform_pair(mdp)
+    with pytest.raises(ValueError, match="horizon_cap"):
+        env.rollout_batch(mdp, student, teacher, ConstrainedRewardSpec(),
+                          np.zeros((2, mdp.horizon_cap - 1)))
+
+
+def test_stream_block_equals_sequential_draws():
+    # rollout_batch reads a key's draws as one block of horizon_cap; the
+    # scalar path draws them one per step
+    for key in ([0, 1, 0, 0, 0, 0], [3, 0, 39, 9, 7, 7], [12345, 2]):
+        block = np.random.default_rng(key).random(8)
+        rng = np.random.default_rng(key)
+        assert block.tolist() == [rng.random() for _ in range(8)]
 
 
 def test_enumeration_probabilities_sum_to_one():

@@ -67,6 +67,40 @@ def test_resume_is_bit_identical():
         assert a.metrics == b.metrics
 
 
+def test_resume_keeps_the_student_floor():
+    mdp, teacher = suite()
+    config = quick_config(epochs=4)
+    start = SoftmaxPolicy.uniform(mdp.num_states, mdp.vocab_size,
+                                  floor=1e-3)
+    full_policy, full_ckpts = train(mdp, teacher, config,
+                                    initial_policy=start)
+    assert full_ckpts[1].floor == 1e-3
+    resumed_policy, resumed_ckpts = resume(mdp, teacher, config,
+                                           full_ckpts[1])
+    assert resumed_policy.floor == 1e-3
+    np.testing.assert_array_equal(full_policy.logits, resumed_policy.logits)
+    for a, b in zip(full_ckpts[2:], resumed_ckpts):
+        np.testing.assert_array_equal(a.logits, b.logits)
+        assert a.metrics == b.metrics
+
+
+def test_sample_batch_groups_and_stream_keys():
+    mdp, teacher = suite()
+    config = TrainConfig(spec=ConstrainedRewardSpec(), seed=3,
+                         groups_per_batch=3, rollouts_per_group=4)
+    student = SoftmaxPolicy(np.random.default_rng(0).normal(
+        size=(mdp.num_states, mdp.vocab_size)))
+    trajs, groups = training._sample_batch(mdp, student, teacher, config,
+                                           epoch=2, batch=5, phase=1)
+    assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    for g, members in enumerate(groups):
+        for i, k in enumerate(members):
+            ref = env.rollout(mdp, student, teacher, config.spec,
+                              np.random.default_rng([3, 1, 2, 5, g, i]))
+            assert (trajs[k].states, trajs[k].tokens, trajs[k].costs) == \
+                (ref.states, ref.tokens, ref.costs)
+
+
 def test_resume_bit_identical_with_sga():
     mdp, teacher = suite()
     spec = ConstrainedRewardSpec()
