@@ -57,11 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         config = harness.ExperimentConfig.from_file(args.config)
+        if args.seed is not None:
+            config.seeds = harness.check_seeds([args.seed])
     except harness.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        config.seeds = [args.seed]
     try:
         records = harness.run_experiment(config, force=args.force,
                                          output_dir=args.out)

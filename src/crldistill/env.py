@@ -130,6 +130,23 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
     return Trajectory(states, tokens, rewards, costs, pens, terminated, not terminated)
 
 
+def state_tables(mdp, student, teacher, spec):
+    """Per-state tables of a fixed student: action probabilities
+    (num_states, vocab_size), and the cost and penalty divergences against
+    the teacher as lists. The penalty table is the cost table itself when
+    `spec.penalty_kind == spec.cost_kind`, since `phi` is `per_state_cost`.
+    """
+    from . import divergence as dv
+
+    states = range(mdp.num_states)
+    probs = np.stack([student.action_probs(s) for s in states])
+    cost = [dv.per_state_cost(student, teacher, s, spec.cost_kind)
+            for s in states]
+    pen = cost if spec.penalty_kind == spec.cost_kind else \
+        [dv.phi(student, teacher, s, spec.penalty_kind) for s in states]
+    return probs, cost, pen
+
+
 def rollout_batch(mdp, student, teacher, spec,
                   uniforms: np.ndarray) -> list[Trajectory]:
     """Sample one episode per row of `uniforms`, shape (B, horizon_cap).
@@ -141,17 +158,12 @@ def rollout_batch(mdp, student, teacher, spec,
     student is fixed for the call, so its cumulative-probability, cost and
     penalty tables are built once and all rows step together.
     """
-    from . import divergence as dv
-
     u = np.asarray(uniforms, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != mdp.horizon_cap:
         raise ValueError("uniforms must have shape (batch, horizon_cap)")
     n = mdp.num_states
-    cum = np.stack([np.cumsum(student.action_probs(s)) for s in range(n)])
-    cost = [dv.per_state_cost(student, teacher, s, spec.cost_kind)
-            for s in range(n)]
-    pen = cost if spec.penalty_kind == spec.cost_kind else \
-        [dv.phi(student, teacher, s, spec.penalty_kind) for s in range(n)]
+    probs, cost, pen = state_tables(mdp, student, teacher, spec)
+    cum = np.cumsum(probs, axis=1)
     terminal = np.zeros(n, dtype=bool)
     terminal[list(mdp.terminal_states)] = True
 
@@ -206,14 +218,7 @@ def enumerate_trajectories(mdp, student, teacher, spec,
     EnumerationCapExceeded when vocab_size ** horizon_cap paths could exceed
     `leaf_cap`.
     """
-    from . import divergence as dv
-
-    probs = [student.action_probs(s) for s in range(mdp.num_states)]
-    cost = [dv.per_state_cost(student, teacher, s, spec.cost_kind)
-            for s in range(mdp.num_states)]
-    pen = [dv.phi(student, teacher, s, spec.penalty_kind)
-           for s in range(mdp.num_states)]
-
+    probs, cost, pen = state_tables(mdp, student, teacher, spec)
     results: list[tuple[Trajectory, float]] = []
     budget = [leaf_cap]
 

@@ -117,28 +117,41 @@ class ExperimentConfig:
 
         task = raw["task"]
         _require_keys(task, _TASK_KEYS, set(), "task")
-        if "file" in task:
-            mdp = env_mod.load_task(task["file"])
-        else:
-            family = task.get("family")
-            if family not in _TASK_FAMILIES:
-                raise ConfigError(f"unknown task family {family!r}")
-            mdp = _TASK_FAMILIES[family](**task.get("params", {}))
+        try:
+            if "file" in task:
+                mdp = env_mod.load_task(task["file"])
+            else:
+                family = task.get("family")
+                if family not in _TASK_FAMILIES:
+                    raise ConfigError(f"unknown task family {family!r}")
+                mdp = _TASK_FAMILIES[family](**task.get("params", {}))
+        except (ValueError, TypeError, OSError, yaml.YAMLError) as exc:
+            raise _config_error("task", exc) from exc
 
         teacher_sec = raw["teacher"]
         _require_keys(teacher_sec, _TEACHER_KEYS, set(), "teacher")
-        if "table" in teacher_sec:
-            teacher = TeacherPolicy(np.asarray(teacher_sec["table"],
-                                               dtype=np.float64))
-        elif teacher_sec.get("kind") == "tension":
-            teacher = env_mod.tension_teacher(mdp,
-                                              **teacher_sec.get("params", {}))
-        else:
-            raise ConfigError("teacher: need a `table` or kind: tension")
+        try:
+            if "table" in teacher_sec:
+                teacher = TeacherPolicy(np.asarray(teacher_sec["table"],
+                                                   dtype=np.float64))
+            elif teacher_sec.get("kind") == "tension":
+                teacher = env_mod.tension_teacher(
+                    mdp, **teacher_sec.get("params", {}))
+            else:
+                raise ConfigError("need a `table` or kind: tension")
+        except (ValueError, TypeError) as exc:
+            raise _config_error("teacher", exc) from exc
+        shape = (mdp.num_states, mdp.vocab_size)
+        if teacher.probs.shape != shape:
+            raise ConfigError(f"teacher: table has shape"
+                              f" {teacher.probs.shape}, the task needs {shape}")
 
         spec_sec = dict(raw.get("spec", {}))
         _require_keys(spec_sec, _SPEC_KEYS, set(), "spec")
-        base_spec = ConstrainedRewardSpec(**spec_sec)
+        try:
+            base_spec = ConstrainedRewardSpec(**spec_sec)
+        except (ValueError, TypeError) as exc:
+            raise _config_error("spec", exc) from exc
 
         methods_sec = raw["methods"]
         if not isinstance(methods_sec, list) or not methods_sec:
@@ -149,19 +162,43 @@ class ExperimentConfig:
             kw = {k: v for k, v in entry.items() if k != "mode"}
             try:
                 method_specs.append(base_spec.with_mode(entry["mode"], **kw))
-            except ValueError as exc:
-                raise ConfigError(f"methods[{i}]: {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise _config_error(f"methods[{i}]", exc) from exc
 
-        seeds = raw["seeds"]
-        if (not isinstance(seeds, list) or not seeds
-                or not all(isinstance(s, int) for s in seeds)):
-            raise ConfigError("seeds: expected a non-empty list of integers")
+        seeds = check_seeds(raw["seeds"])
 
         train_sec = dict(raw.get("train", {}))
         _require_keys(train_sec, _TRAIN_KEYS, set(), "train")
-        warm = int(train_sec.pop("warm_start_epochs", 3))
-        return cls(mdp, teacher, method_specs, list(seeds),
+        warm = train_sec.pop("warm_start_epochs", 3)
+        if not _is_count(warm):
+            raise ConfigError("train: warm_start_epochs must be an integer"
+                              f" >= 0, got {warm!r}")
+        try:
+            TrainConfig(spec=base_spec, **train_sec)
+        except (ValueError, TypeError) as exc:
+            raise _config_error("train", exc) from exc
+        return cls(mdp, teacher, method_specs, seeds,
                    str(raw["output_dir"]), train_sec, warm)
+
+
+def _config_error(where: str, exc: Exception) -> ConfigError:
+    """A one-line ConfigError naming the config section that failed."""
+    return ConfigError(f"{where}: " + " ".join(str(exc).split()))
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
+def check_seeds(seeds) -> list[int]:
+    """The training seeds as a list; each must be an int >= 0 (not a bool),
+    since a seed is the first word of every rollout's stream key."""
+    if (not isinstance(seeds, list) or not seeds
+            or not all(_is_count(s) for s in seeds)):
+        raise ConfigError("seeds: expected a non-empty list of integers"
+                          f" >= 0, got {seeds!r}")
+    return list(seeds)
 
 
 # ---------------------------------------------------------------------------

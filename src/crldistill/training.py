@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import env as env_mod
-from . import gradients, shaping
+from . import gradients, shaping, streams
 from .evaluation import evaluate_policy
 from .policies import SoftmaxPolicy
 from .shaping import ConstrainedRewardSpec
@@ -16,7 +18,6 @@ from .shaping import ConstrainedRewardSpec
 OPTIMIZER_ADAM = "adam"
 OPTIMIZER_SGA = "sga"
 
-PAPER_LEARNING_RATE = 1e-5  # LLM-scale setting, kept for provenance
 TOY_LEARNING_RATE = 5e-2
 
 
@@ -42,10 +43,27 @@ class TrainConfig:
     normalize_advantages: bool = False
 
     def __post_init__(self):
-        if self.groups_per_batch < 1 or self.rollouts_per_group < 1:
-            raise ValueError("batch composition must be positive")
+        for name, low in (("seed", 0), ("groups_per_batch", 1),
+                          ("rollouts_per_group", 1),
+                          ("batches_per_epoch", 1), ("epochs", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low},"
+                                 f" got {value!r}")
+        if (isinstance(self.learning_rate, bool)
+                or not isinstance(self.learning_rate, numbers.Real)
+                or not 0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be a positive number,"
+                             f" got {self.learning_rate!r}")
         if self.optimizer not in (OPTIMIZER_ADAM, OPTIMIZER_SGA):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.baseline not in (gradients.BASELINE_GROUP,
+                                 gradients.BASELINE_NONE):
+            raise ValueError(f"unknown baseline mode {self.baseline!r}")
+        if not isinstance(self.normalize_advantages, bool):
+            raise ValueError("normalize_advantages must be true or false")
 
     @property
     def batch_size(self) -> int:
@@ -105,7 +123,7 @@ class AdamAscent:
 class SgaAscent:
     """Plain gradient ascent."""
 
-    def __init__(self, lr, state=None):
+    def __init__(self, lr):
         self.lr = lr
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
@@ -123,15 +141,24 @@ def _make_optimizer(config: TrainConfig, state=None):
     return SgaAscent(config.learning_rate)
 
 
+def _epoch_uniforms(config: TrainConfig, horizon: int, epoch: int,
+                    phase: int) -> np.ndarray:
+    """All rollout uniforms of one epoch, shape (batches, batch_size, horizon).
+
+    Row g * rollouts_per_group + i of batch b is the first `horizon` draws of
+    the stream keyed (seed, phase, epoch, b, g, i).
+    """
+    keys = np.indices((config.batches_per_epoch, config.groups_per_batch,
+                       config.rollouts_per_group)).reshape(3, -1).T
+    block = streams.uniform_block((config.seed, phase, epoch), keys, horizon)
+    return block.reshape(config.batches_per_epoch, config.batch_size, horizon)
+
+
 def _sample_batch(mdp, student, teacher, config: TrainConfig,
-                  epoch: int, batch: int, phase: int):
-    """One training batch; rollout i of group g draws its horizon_cap
-    uniforms from the stream keyed (seed, phase, epoch, batch, g, i)."""
+                  uniforms: np.ndarray):
+    """One training batch from its (batch_size, horizon_cap) uniforms, one
+    group per run of rollouts_per_group rows."""
     size = config.rollouts_per_group
-    uniforms = np.stack([
-        np.random.default_rng(
-            [config.seed, phase, epoch, batch, g, i]).random(mdp.horizon_cap)
-        for g in range(config.groups_per_batch) for i in range(size)])
     trajectories = env_mod.rollout_batch(mdp, student, teacher, config.spec,
                                          uniforms)
     groups = [list(range(g * size, (g + 1) * size))
@@ -168,9 +195,10 @@ def train(mdp, teacher, config: TrainConfig,
     checkpoints: list[Checkpoint] = []
 
     for epoch in range(start_epoch, config.epochs):
+        uniforms = _epoch_uniforms(config, mdp.horizon_cap, epoch, phase)
         for batch in range(config.batches_per_epoch):
             trajs, groups = _sample_batch(mdp, student, teacher, config,
-                                          epoch, batch, phase)
+                                          uniforms[batch])
             estimate = gradients.total_gradient(
                 student, teacher, trajs, config.spec,
                 baseline=config.baseline, groups=groups,

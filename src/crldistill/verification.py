@@ -221,10 +221,7 @@ def check_bellman_residual(mdp, student, teacher,
                            seed: int = 0) -> TheoremReport:
     """Bellman optimality on the un-augmented model with costs frozen at the
     given policy: the backward-induction fixed point has zero residual."""
-    costs = [dv.per_state_cost(student, teacher, s, spec.cost_kind)
-             for s in range(mdp.num_states)]
-    pens = [dv.phi(student, teacher, s, spec.penalty_kind)
-            for s in range(mdp.num_states)]
+    _, costs, pens = env_mod.state_tables(mdp, student, teacher, spec)
 
     cache: dict = {}
 

@@ -1,3 +1,4 @@
+import pytest
 import yaml
 
 from crldistill import cli
@@ -46,6 +47,43 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["run", "/nonexistent.yaml"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+ONE_CELL = {"methods": [{"mode": "unaugmented"}], "seeds": [0],
+            "train": {**SMALL_CONFIG["train"], "epochs": 1}}
+BAD_CONFIGS = {
+    "negative seed": {"seeds": [-1]},
+    "bool seed": {"seeds": [True]},
+    "unknown optimizer": {"train": {"epochs": 1, "optimizer": "nope"}},
+    "teacher shape": {"teacher": {"table": [[0.5, 0.5]] * 3}},
+    "negative budget": {"spec": {"budget": -0.1}},
+    "unknown family param": {"task": {"family": "chain",
+                                      "params": {"legnth": 2}}},
+    "missing task file": {"task": {"file": "/nonexistent/task.yaml"}},
+    "negative warm start": {"train": {"epochs": 1, "warm_start_epochs": -1}},
+}
+
+
+def assert_usage_error_before_writing(argv, out, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_field_fails_before_writing(tmp_path, capsys, case):
+    out = tmp_path / "results"
+    config = write_config(tmp_path, output_dir=str(out),
+                          **{**ONE_CELL, **BAD_CONFIGS[case]})
+    assert_usage_error_before_writing(["run", str(config)], out, capsys)
+
+
+def test_negative_seed_override_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "results"
+    config = write_config(tmp_path, output_dir=str(out), **ONE_CELL)
+    assert_usage_error_before_writing(["run", str(config), "--seed", "-1"],
+                                      out, capsys)
 
 
 def test_report_without_runs_fails(tmp_path, capsys):

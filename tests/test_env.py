@@ -247,3 +247,21 @@ def test_task_file_rejects_bad_keys(tmp_path):
     path.write_text("num_states: 2\n")
     with pytest.raises(ValueError, match="missing task keys"):
         env.load_task(path)
+
+
+@pytest.mark.parametrize("penalty_kind", [REVERSE_KL, JENSEN_SHANNON])
+def test_state_tables_reuse_cost_only_when_kinds_agree(penalty_kind):
+    from crldistill.divergence import per_state_cost, phi
+
+    mdp = env.chain_with_distractors()
+    teacher = env.tension_teacher(mdp)
+    student = SoftmaxPolicy(np.random.default_rng(4).normal(
+        size=(mdp.num_states, mdp.vocab_size)))
+    spec = ConstrainedRewardSpec(penalty_kind=penalty_kind)
+    probs, cost, pen = env.state_tables(mdp, student, teacher, spec)
+    states = range(mdp.num_states)
+    np.testing.assert_array_equal(
+        probs, [student.action_probs(s) for s in states])
+    assert cost == [per_state_cost(student, teacher, s) for s in states]
+    assert pen == [phi(student, teacher, s, penalty_kind) for s in states]
+    assert (pen is cost) == (penalty_kind == spec.cost_kind)

@@ -90,8 +90,11 @@ def test_sample_batch_groups_and_stream_keys():
                          groups_per_batch=3, rollouts_per_group=4)
     student = SoftmaxPolicy(np.random.default_rng(0).normal(
         size=(mdp.num_states, mdp.vocab_size)))
+    uniforms = training._epoch_uniforms(config, mdp.horizon_cap, epoch=2,
+                                        phase=1)
+    assert uniforms.shape == (10, 12, mdp.horizon_cap)
     trajs, groups = training._sample_batch(mdp, student, teacher, config,
-                                           epoch=2, batch=5, phase=1)
+                                           uniforms[5])
     assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
     for g, members in enumerate(groups):
         for i, k in enumerate(members):
@@ -99,6 +102,16 @@ def test_sample_batch_groups_and_stream_keys():
                               np.random.default_rng([3, 1, 2, 5, g, i]))
             assert (trajs[k].states, trajs[k].tokens, trajs[k].costs) == \
                 (ref.states, ref.tokens, ref.costs)
+
+
+def test_config_rejects_bad_fields():
+    spec = ConstrainedRewardSpec()
+    for bad in ({"seed": -1}, {"seed": True}, {"epochs": "3"},
+                {"batches_per_epoch": 0}, {"learning_rate": 0.0},
+                {"learning_rate": "3e-2"}, {"baseline": "mean"},
+                {"normalize_advantages": "yes"}):
+        with pytest.raises(ValueError):
+            TrainConfig(spec=spec, **bad)
 
 
 def test_resume_bit_identical_with_sga():
