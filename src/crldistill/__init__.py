@@ -8,21 +8,19 @@ executable checks of the underlying guarantees.
 """
 
 from .divergence import (JENSEN_SHANNON, REVERSE_KL, divergence_gradient,
-                         kl_score_gradient, max_cost_bound, per_state_cost,
-                         phi)
+                         kl_score_gradient, max_cost_bound, per_state_cost)
 from .env import (EnumerationCapExceeded, TokenMdp, Trajectory, chain,
                   chain_with_distractors, enumerate_trajectories, load_task,
-                  rollout, rollout_batch, rollout_many, save_task, step,
-                  tension_teacher)
-from .evaluation import EvalResult, evaluate_policy, violation_probability
+                  rollout, rollout_batch, save_task, step, tension_teacher)
+from .evaluation import EvalResult, evaluate_policy
 from .gradients import (GradientEstimate, exact_gradient,
                         explicit_dependence_term, finite_difference_gradient,
                         likelihood_ratio_term, objective_value,
-                        total_gradient)
+                        shaped_return, total_gradient)
 from .harness import (ExperimentConfig, MetricsRecord, emit_reports,
                       pareto_front, run_experiment)
 from .policies import (SoftmaxPolicy, TeacherPolicy, floor_distribution,
-                       grad_log_prob, load_policy, save_policy, teacher_copy)
+                       load_policy, save_policy, teacher_copy)
 from .shaping import (KL_LONG_HORIZON, KL_ONLY, LAGRANGIAN, MODES,
                       REWARD_ONLY, SAUTE, UNAUGMENTED, BudgetLedger,
                       ConstrainedRewardSpec, boundary_flags,

@@ -34,11 +34,6 @@ def per_state_cost(student, teacher, state: int, kind: str = REVERSE_KL) -> floa
     return _divergence(student.action_probs(state), teacher.action_probs(state), kind)
 
 
-def phi(student, teacher, state: int, kind: str = REVERSE_KL) -> float:
-    """Divergence added to the infeasibility penalty; same formula as the cost."""
-    return per_state_cost(student, teacher, state, kind)
-
-
 def _grad_wrt_probs(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     # dD/dp_a; constants that vanish under the simplex constraint are kept,
     # the chain rule below projects them out.

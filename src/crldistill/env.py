@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +123,8 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
         cost = dv.per_state_cost(student, teacher, s, spec.cost_kind)
         costs.append(cost)
         pens.append(cost if spec.penalty_kind == spec.cost_kind
-                    else dv.phi(student, teacher, s, spec.penalty_kind))
+                    else dv.per_state_cost(student, teacher, s,
+                                           spec.penalty_kind))
         s = nxt
         if done:
             terminated = True
@@ -134,7 +136,7 @@ def state_tables(mdp, student, teacher, spec):
     """Per-state tables of a fixed student: action probabilities
     (num_states, vocab_size), and the cost and penalty divergences against
     the teacher as lists. The penalty table is the cost table itself when
-    `spec.penalty_kind == spec.cost_kind`, since `phi` is `per_state_cost`.
+    `spec.penalty_kind == spec.cost_kind`: both are `per_state_cost`.
     """
     from . import divergence as dv
 
@@ -143,7 +145,8 @@ def state_tables(mdp, student, teacher, spec):
     cost = [dv.per_state_cost(student, teacher, s, spec.cost_kind)
             for s in states]
     pen = cost if spec.penalty_kind == spec.cost_kind else \
-        [dv.phi(student, teacher, s, spec.penalty_kind) for s in states]
+        [dv.per_state_cost(student, teacher, s, spec.penalty_kind)
+         for s in states]
     return probs, cost, pen
 
 
@@ -198,16 +201,6 @@ def rollout_batch(mdp, student, teacher, spec,
                               [cost[s] for s in ss], [pen[s] for s in ss],
                               done, not done))
     return out
-
-
-def rollout_many(mdp, student, teacher, spec, rng: np.random.Generator,
-                 count: int) -> list[Trajectory]:
-    """`count` episodes from a single RNG stream, horizon_cap draws each.
-
-    Used for evaluation-scale sampling; training uses per-rollout streams.
-    """
-    return rollout_batch(mdp, student, teacher, spec,
-                         rng.random((count, mdp.horizon_cap)))
 
 
 def enumerate_trajectories(mdp, student, teacher, spec,
@@ -340,9 +333,20 @@ _TASK_KEYS = {"num_states", "vocab_size", "initial_state", "horizon_cap",
               "transitions", "terminal_rewards"}
 
 
+class SafeLoader(yaml.SafeLoader):
+    """PyYAML's safe loader with YAML 1.2 floats: an exponent needs no dot
+    and no sign, so `3e-2` and `1.0e5` load as floats, not strings."""
+
+
+SafeLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def load_task(path) -> TokenMdp:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=SafeLoader)
     if not isinstance(raw, dict):
         raise ValueError("task file must be a mapping")
     unknown = set(raw) - _TASK_KEYS

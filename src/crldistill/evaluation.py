@@ -36,7 +36,8 @@ def evaluate_policy(mdp: TokenMdp, student, teacher,
         if eval_seed is None:
             raise
         rng = np.random.default_rng([eval_seed, 982_451_653])
-        trajs = env_mod.rollout_many(mdp, student, teacher, spec, rng, samples)
+        trajs = env_mod.rollout_batch(mdp, student, teacher, spec,
+                                      rng.random((samples, mdp.horizon_cap)))
         pairs = [(t, 1.0 / samples) for t in trajs]
         exact = False
     else:
@@ -54,12 +55,3 @@ def evaluate_policy(mdp: TokenMdp, student, teacher,
     return EvalResult(float(success), float(mean_kl), float(1.0 - violation),
                       float(violation), exact)
 
-
-def violation_probability(mdp, student, teacher,
-                          spec: ConstrainedRewardSpec) -> float:
-    """Exact probability mass of trajectories whose summed cost exceeds the budget."""
-    total = 0.0
-    for traj, p in env_mod.enumerate_trajectories(mdp, student, teacher, spec):
-        if traj.total_cost > spec.budget:
-            total += p
-    return total

@@ -2,6 +2,7 @@
 # the explicit divergence-dependence term, and exact enumeration oracles.
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +76,26 @@ def _group_baselines(credits: list[list[float]],
     return base
 
 
+def _weights(trajectories, weights: Sequence[float] | None) -> list[float]:
+    """Per-trajectory weights: 1/B each (the batch mean) unless given."""
+    if weights is None:
+        return [1.0 / max(len(trajectories), 1)] * len(trajectories)
+    return list(weights)
+
+
 def likelihood_ratio_term(student, trajectories: list[Trajectory],
                           shaped: list[list[float]],
                           baseline: str = BASELINE_NONE,
                           groups: list[list[int]] | None = None,
                           credit: str = CREDIT_TO_GO,
                           discount: float = 1.0,
-                          normalize: bool = False) -> np.ndarray:
-    """Mean over trajectories of sum_t grad log pi(a_t|s_t) * advantage_t."""
+                          normalize: bool = False,
+                          weights: Sequence[float] | None = None) -> np.ndarray:
+    """Weighted sum over trajectories of sum_t grad log pi(a_t|s_t) * advantage_t.
+
+    The default weights 1/B give the sampled mean; leaf probabilities give
+    the exact expectation.
+    """
     credits = _credits(shaped, discount, credit)
     if baseline == BASELINE_GROUP:
         if groups is None:
@@ -102,51 +115,45 @@ def likelihood_ratio_term(student, trajectories: list[Trajectory],
 
     probs = _PerState(student.action_probs)
     table = np.zeros_like(student.logits)
-    for traj, cred, bs in zip(trajectories, credits, base):
+    for traj, cred, bs, w in zip(trajectories, credits, base,
+                                 _weights(trajectories, weights)):
         for s, a, c, b in zip(traj.states, traj.tokens, cred, bs):
-            adv = c - b
+            adv = (c - b) * w
             table[s] -= adv * probs[s]
             table[s, a] += adv
-    table /= max(len(trajectories), 1)
     return table
 
 
 def explicit_dependence_term(student, teacher, trajectories: list[Trajectory],
-                             spec: ConstrainedRewardSpec) -> np.ndarray:
-    """Minus the divergence-penalty gradient on boundary or violated steps."""
-    grads = _PerState(lambda s: dv.divergence_gradient(
-        student, teacher, s, spec.penalty_kind))
+                             spec: ConstrainedRewardSpec,
+                             weights: Sequence[float] | None = None) -> np.ndarray:
+    """Minus the weighted, discounted divergence gradient on the steps whose
+    shaped reward contains the divergence itself.
+
+    un-augmented: the penalty divergence on boundary or violated steps;
+    lagrangian: lagrange_weight times the cost at every step; kl-only and
+    kl-long-horizon: the cost at every step; other modes: zero.
+    """
     table = np.zeros_like(student.logits)
-    for traj in trajectories:
-        flags = shaping.boundary_flags(traj, spec)
-        scale = 1.0
+    if spec.mode == shaping.UNAUGMENTED:
+        kind, coefficient, mask = spec.penalty_kind, 1.0, shaping.boundary_flags
+    elif spec.mode == shaping.LAGRANGIAN:
+        kind, coefficient, mask = spec.cost_kind, spec.lagrange_weight, None
+    elif spec.mode in (shaping.KL_ONLY, shaping.KL_LONG_HORIZON):
+        kind, coefficient, mask = spec.cost_kind, 1.0, None
+    else:
+        return table
+    if coefficient == 0.0:
+        return table
+    grads = _PerState(lambda s: dv.divergence_gradient(
+        student, teacher, s, kind))
+    for traj, w in zip(trajectories, _weights(trajectories, weights)):
+        flags = mask(traj, spec) if mask else [True] * len(traj)
+        scale = w * coefficient
         for s, flagged in zip(traj.states, flags):
             if flagged:
                 table -= scale * grads[s]
             scale *= spec.discount
-    table /= max(len(trajectories), 1)
-    return table
-
-
-def divergence_pull_term(student, teacher, trajectories: list[Trajectory],
-                         kind: str, weight: float,
-                         discount: float = 1.0) -> np.ndarray:
-    """Minus the weighted cost gradient at every visited state.
-
-    Explicit reward-dependence term for the modes whose step reward contains
-    the divergence itself (fixed-weight relaxation and distillation-only).
-    """
-    table = np.zeros_like(student.logits)
-    if weight == 0.0:
-        return table
-    grads = _PerState(lambda s: dv.divergence_gradient(
-        student, teacher, s, kind))
-    for traj in trajectories:
-        scale = 1.0
-        for s in traj.states:
-            table -= weight * scale * grads[s]
-            scale *= discount
-    table /= max(len(trajectories), 1)
     return table
 
 
@@ -154,79 +161,37 @@ def _credit_mode(spec: ConstrainedRewardSpec) -> str:
     return CREDIT_STEP if spec.mode == shaping.KL_ONLY else CREDIT_TO_GO
 
 
-def _explicit_term(student, teacher, trajectories, spec) -> np.ndarray:
-    if spec.mode == shaping.UNAUGMENTED:
-        return explicit_dependence_term(student, teacher, trajectories, spec)
-    if spec.mode == shaping.LAGRANGIAN:
-        return divergence_pull_term(student, teacher, trajectories,
-                                    spec.cost_kind, spec.lagrange_weight,
-                                    spec.discount)
-    if spec.mode in (shaping.KL_ONLY, shaping.KL_LONG_HORIZON):
-        return divergence_pull_term(student, teacher, trajectories,
-                                    spec.cost_kind, 1.0, spec.discount)
-    return np.zeros_like(student.logits)
-
-
 def total_gradient(student, teacher, trajectories: list[Trajectory],
                    spec: ConstrainedRewardSpec,
                    baseline: str = BASELINE_NONE,
                    groups: list[list[int]] | None = None,
-                   normalize: bool = False) -> GradientEstimate:
-    """Full ascent direction for the spec's mode on a sampled batch."""
+                   normalize: bool = False,
+                   weights: Sequence[float] | None = None) -> GradientEstimate:
+    """Full ascent direction for the spec's mode: the mean over a sampled
+    batch, or the expectation when `weights` are the trajectories'
+    probabilities."""
     shaped = [shaping.shape_rewards(t, spec) for t in trajectories]
     term_i = likelihood_ratio_term(student, trajectories, shaped,
                                    baseline=baseline, groups=groups,
                                    credit=_credit_mode(spec),
                                    discount=spec.discount,
-                                   normalize=normalize)
-    term_ii = _explicit_term(student, teacher, trajectories, spec)
+                                   normalize=normalize, weights=weights)
+    term_ii = explicit_dependence_term(student, teacher, trajectories, spec,
+                                       weights=weights)
     return GradientEstimate(term_i + term_ii, term_i, term_ii,
                             len(trajectories))
 
 
 def exact_gradient(mdp, student, teacher,
                    spec: ConstrainedRewardSpec) -> GradientEstimate:
-    """Enumeration oracle: probability-weighted version of total_gradient.
+    """Enumeration oracle: total_gradient over every trajectory, weighted by
+    its probability.
 
     The feasibility indicator set is held fixed, matching the piecewise
     treatment used by the sampled estimator.
     """
-    pairs = enumerate_trajectories(mdp, student, teacher, spec)
-    term_i = np.zeros_like(student.logits)
-    term_ii = np.zeros_like(student.logits)
-    probs_cache = {s: student.action_probs(s) for s in range(mdp.num_states)}
-    credit_mode = _credit_mode(spec)
-    for traj, p in pairs:
-        shaped = shaping.shape_rewards(traj, spec)
-        if credit_mode == CREDIT_TO_GO:
-            cred = _returns_to_go(shaped, spec.discount)
-        else:
-            cred = shaped
-        for s, a, c in zip(traj.states, traj.tokens, cred):
-            term_i[s] -= p * c * probs_cache[s]
-            term_i[s, a] += p * c
-
-        if spec.mode == shaping.UNAUGMENTED:
-            flags = shaping.boundary_flags(traj, spec)
-            scale = p
-            for s, flagged in zip(traj.states, flags):
-                if flagged:
-                    term_ii -= scale * dv.divergence_gradient(
-                        student, teacher, s, spec.penalty_kind)
-                scale *= spec.discount
-        elif spec.mode == shaping.LAGRANGIAN and spec.lagrange_weight != 0.0:
-            scale = p * spec.lagrange_weight
-            for s in traj.states:
-                term_ii -= scale * dv.divergence_gradient(
-                    student, teacher, s, spec.cost_kind)
-                scale *= spec.discount
-        elif spec.mode in (shaping.KL_ONLY, shaping.KL_LONG_HORIZON):
-            scale = p
-            for s in traj.states:
-                term_ii -= scale * dv.divergence_gradient(
-                    student, teacher, s, spec.cost_kind)
-                scale *= spec.discount
-    return GradientEstimate(term_i + term_ii, term_i, term_ii, len(pairs))
+    trajs, p = zip(*enumerate_trajectories(mdp, student, teacher, spec))
+    return total_gradient(student, teacher, list(trajs), spec, weights=p)
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +200,22 @@ def exact_gradient(mdp, student, teacher,
 FD_STEP = 1e-5
 
 
+def shaped_return(traj: Trajectory, spec: ConstrainedRewardSpec) -> float:
+    """Discounted sum of the trajectory's shaped rewards."""
+    acc = 0.0
+    scale = 1.0
+    for r in shaping.shape_rewards(traj, spec):
+        acc += scale * r
+        scale *= spec.discount
+    return acc
+
+
 def objective_value(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float:
-    """Expected discounted shaped return, by exhaustive enumeration."""
+    """Expected discounted shaped return: shaped_return weighted by leaf
+    probabilities."""
     total = 0.0
     for traj, p in enumerate_trajectories(mdp, student, teacher, spec):
-        shaped = shaping.shape_rewards(traj, spec)
-        scale = 1.0
-        acc = 0.0
-        for r in shaped:
-            acc += scale * r
-            scale *= spec.discount
-        total += p * acc
+        total += p * shaped_return(traj, spec)
     return total
 
 

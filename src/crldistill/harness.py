@@ -2,6 +2,7 @@
 # Pareto extraction and SVG report emission.
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -99,7 +100,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             with open(path) as fh:
-                raw = yaml.safe_load(fh)
+                raw = yaml.load(fh, Loader=env_mod.SafeLoader)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except yaml.YAMLError as exc:
@@ -205,17 +206,25 @@ def check_seeds(seeds) -> list[int]:
 # Running
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str, mode: str = "w"):
+    """A temp file in `path`'s directory, renamed over `path` on success and
+    removed on failure, so `path` never holds a partial write."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def _cell_name(label: str, seed: int) -> str:
@@ -251,7 +260,8 @@ def run_experiment(config: ExperimentConfig, force: bool = False,
                                         train_config, initial_policy=start,
                                         log_file=log_file)
         os.replace(log_path + ".tmp", log_path)
-        save_policy(policy, os.path.join(runs_dir, cell + ".npz"))
+        with _atomic_file(os.path.join(runs_dir, cell + ".npz"), "wb") as fh:
+            save_policy(policy, fh)
         result = evaluate_policy(config.mdp, policy, config.teacher, spec,
                                  eval_seed=seed)
         record = MetricsRecord(label, seed, result.task_success_rate,

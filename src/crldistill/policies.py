@@ -100,18 +100,11 @@ def teacher_copy(teacher: TeacherPolicy, floor: float | None = None) -> SoftmaxP
     return SoftmaxPolicy(np.log(teacher.probs), f)
 
 
-def grad_log_prob(policy: SoftmaxPolicy, state: int, token: int) -> np.ndarray:
-    """Score of the logit table: nonzero only in `state`'s row, 1{a=token} - p."""
-    if not 0 <= token < policy.vocab_size:
-        raise ValueError(f"token {token} out of range")
-    g = np.zeros_like(policy.logits)
-    g[state] = -policy.action_probs(state)
-    g[state, token] += 1.0
-    return g
-
-
 def save_policy(policy: SoftmaxPolicy, path) -> None:
-    """Checkpoint format: .npz with little-endian float64 `logits` and `floor`."""
+    """Checkpoint format: .npz with little-endian float64 `logits` and `floor`.
+
+    `path` is a file name or a binary file object.
+    """
     np.savez(path, logits=policy.logits.astype("<f8"),
              floor=np.array([policy.floor], dtype="<f8"))
 

@@ -10,6 +10,8 @@ from . import divergence as dv
 from . import env as env_mod
 from . import shaping
 from .env import TokenMdp
+from .evaluation import evaluate_policy
+from .gradients import shaped_return
 from .policies import (SoftmaxPolicy, TeacherPolicy, floor_distribution,
                        teacher_copy)
 from .shaping import ConstrainedRewardSpec
@@ -56,34 +58,6 @@ def random_instance(rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# Value oracles
-
-
-def policy_value(mdp, student, teacher, spec: ConstrainedRewardSpec):
-    """Exact expected shaped return plus the mass of penalized trajectories."""
-    value = 0.0
-    penalized_mass = 0.0
-    for traj, p in env_mod.enumerate_trajectories(mdp, student, teacher, spec):
-        shaped = shaping.shape_rewards(traj, spec)
-        scale = 1.0
-        acc = 0.0
-        for r in shaped:
-            acc += scale * r
-            scale *= spec.discount
-        value += p * acc
-        ledger = shaping.BudgetLedger(spec.budget)
-        hit = False
-        for c in traj.costs:
-            if ledger.remaining < 0.0:
-                hit = True
-                break
-            ledger.charge(c)
-        if hit:
-            penalized_mass += p
-    return value, penalized_mass
-
-
-# ---------------------------------------------------------------------------
 # Theorem checks
 
 
@@ -111,28 +85,52 @@ def check_monotone_in_n(mdp, teacher, policies: list[SoftmaxPolicy],
                         spec: ConstrainedRewardSpec | None = None,
                         seed: int = 0) -> TheoremReport:
     """Exact values are non-increasing in the penalty scale and stabilize on
-    policies with zero penalized mass."""
-    base = spec or ConstrainedRewardSpec()
+    policies with zero penalized mass.
+
+    The trajectory tree and its costs do not depend on the penalty scale, so
+    each policy is enumerated once; `details["penalized_mass"]` holds, per
+    policy, the mass of trajectories that act after exhausting the budget.
+    """
+    base = (spec or ConstrainedRewardSpec()).with_mode(shaping.UNAUGMENTED)
     grid = sorted(n_grid)
+    scaled = [base.with_mode(shaping.UNAUGMENTED, penalty=n) for n in grid]
     worst_increase = 0.0
     worst_tail = 0.0
+    masses = []
     for policy in policies:
+        pairs = env_mod.enumerate_trajectories(mdp, policy, teacher, base)
         values = []
-        masses = []
-        for n in grid:
-            v, m = policy_value(mdp, policy, teacher,
-                                base.with_mode(shaping.UNAUGMENTED, penalty=n))
-            values.append(v)
-            masses.append(m)
+        for spec_n in scaled:
+            value = 0.0
+            for traj, p in pairs:
+                value += p * shaped_return(traj, spec_n)
+            values.append(value)
+        mass = 0.0
+        for traj, p in pairs:
+            if _penalized(traj, base.budget):
+                mass += p
+        masses.append(mass)
         for lo, hi in zip(values, values[1:]):
             worst_increase = max(worst_increase, hi - lo)
-        if masses[-1] == 0.0 and len(values) >= 2:
+        if mass == 0.0 and len(values) >= 2:
             worst_tail = max(worst_tail, abs(values[-1] - values[-2]))
     passed = worst_increase <= MONOTONE_SLACK and worst_tail <= STABILIZE_TOL
     return TheoremReport("monotone_in_penalty", len(policies),
                          max(worst_increase, worst_tail), passed, seed,
                          {"worst_increase": worst_increase,
-                          "worst_tail_gap": worst_tail, "n_grid": list(grid)})
+                          "worst_tail_gap": worst_tail, "n_grid": list(grid),
+                          "penalized_mass": masses})
+
+
+def _penalized(traj, budget: float) -> bool:
+    """Whether some step acts with the budget already exhausted, where the
+    un-augmented reward is the penalty."""
+    ledger = shaping.BudgetLedger(budget)
+    for c in traj.costs:
+        if not shaping.feasible_at(ledger):
+            return True
+        ledger.charge(c)
+    return False
 
 
 def check_constraint_satisfaction(mdp, student, teacher,
@@ -140,10 +138,7 @@ def check_constraint_satisfaction(mdp, student, teacher,
                                   threshold: float = 0.05,
                                   seed: int = 0):
     """Exact violating mass of a trained policy; passes when under `threshold`."""
-    mass = 0.0
-    for traj, p in env_mod.enumerate_trajectories(mdp, student, teacher, spec):
-        if traj.total_cost > spec.budget:
-            mass += p
+    mass = evaluate_policy(mdp, student, teacher, spec).violation_probability
     report = TheoremReport("constraint_satisfaction", 1, mass,
                            mass <= threshold, seed,
                            {"threshold": threshold, "budget": spec.budget})
@@ -194,7 +189,7 @@ def check_assumptions(mdp, teacher, spec: ConstrainedRewardSpec,
             rng.normal(scale=3.0, size=(mdp.num_states, mdp.vocab_size)),
             floor=floor)
         for s in range(mdp.num_states):
-            val = dv.phi(student, teacher, s, spec.penalty_kind)
+            val = dv.per_state_cost(student, teacher, s, spec.penalty_kind)
             grad = dv.divergence_gradient(student, teacher, s, spec.penalty_kind)
             if not (np.isfinite(val) and np.isfinite(grad).all()):
                 finite = False
@@ -277,7 +272,6 @@ def check_violation_trend(mdp=None, teacher=None,
     """Train at increasing penalty scales; the exact violation probability of
     the resulting policies must be non-increasing and end under `threshold`."""
     from . import training
-    from .evaluation import evaluate_policy
 
     if mdp is None or teacher is None:
         mdp, teacher = tension_suite()

@@ -57,13 +57,6 @@ def test_js_extreme_value_is_ln2():
     assert got == pytest.approx(math.log(2), abs=1e-12)
 
 
-def test_phi_equals_cost():
-    student, teacher = pair([0.6, 0.4], [0.25, 0.75])
-    for kind in dv.KINDS:
-        assert dv.phi(student, teacher, 0, kind) == \
-            dv.per_state_cost(student, teacher, 0, kind)
-
-
 def test_unknown_kind_rejected():
     student, teacher = pair([0.5, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError, match="unknown divergence kind"):

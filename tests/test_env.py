@@ -157,8 +157,7 @@ def test_sampling_rule_on_cumulative_boundaries():
                          [cum[2], 0.0],
                          [np.nextafter(cum[2], 2.0), 0.0],
                          [np.nextafter(cum[0], 0.0), cum[0]]])
-    trajs = env.rollout_many(mdp, student, teacher, spec,
-                             _FixedStream(uniforms.ravel()), len(uniforms))
+    trajs = env.rollout_batch(mdp, student, teacher, spec, uniforms)
     assert [t.tokens for t in trajs] == [[1, 1], [2], [2], [2], [0, 1]]
     for row, traj in zip(uniforms, trajs):
         assert_same_trajectory(
@@ -198,7 +197,8 @@ def test_enumeration_matches_sampling():
     pairs = env.enumerate_trajectories(mdp, student, teacher, spec)
     exact_success = sum(p * t.total_task_reward for t, p in pairs)
     rng = np.random.default_rng(3)
-    trajs = env.rollout_many(mdp, student, teacher, spec, rng, 20000)
+    trajs = env.rollout_batch(mdp, student, teacher, spec,
+                              rng.random((20000, mdp.horizon_cap)))
     sampled = sum(t.total_task_reward for t in trajs) / len(trajs)
     assert abs(exact_success - sampled) < 0.02
 
@@ -251,7 +251,7 @@ def test_task_file_rejects_bad_keys(tmp_path):
 
 @pytest.mark.parametrize("penalty_kind", [REVERSE_KL, JENSEN_SHANNON])
 def test_state_tables_reuse_cost_only_when_kinds_agree(penalty_kind):
-    from crldistill.divergence import per_state_cost, phi
+    from crldistill.divergence import per_state_cost
 
     mdp = env.chain_with_distractors()
     teacher = env.tension_teacher(mdp)
@@ -263,5 +263,6 @@ def test_state_tables_reuse_cost_only_when_kinds_agree(penalty_kind):
     np.testing.assert_array_equal(
         probs, [student.action_probs(s) for s in states])
     assert cost == [per_state_cost(student, teacher, s) for s in states]
-    assert pen == [phi(student, teacher, s, penalty_kind) for s in states]
+    assert pen == [per_state_cost(student, teacher, s, penalty_kind)
+                   for s in states]
     assert (pen is cost) == (penalty_kind == spec.cost_kind)

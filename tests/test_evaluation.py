@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crldistill import env
-from crldistill.evaluation import evaluate_policy, violation_probability
+from crldistill.evaluation import evaluate_policy
 from crldistill.policies import SoftmaxPolicy, TeacherPolicy
 from crldistill.shaping import ConstrainedRewardSpec
 
@@ -41,12 +41,18 @@ def test_violation_probability_matches_evaluation():
     teacher = env.tension_teacher(mdp)
     student = SoftmaxPolicy(np.random.default_rng(0).normal(
         scale=1.0, size=(mdp.num_states, mdp.vocab_size)))
-    spec = ConstrainedRewardSpec(budget=0.1)
-    result = evaluate_policy(mdp, student, teacher, spec)
-    direct = violation_probability(mdp, student, teacher, spec)
-    assert result.violation_probability == pytest.approx(direct, abs=1e-12)
-    assert result.constraint_satisfaction == \
-        pytest.approx(1.0 - direct, abs=1e-12)
+    # every trajectory of this student violates a budget of 0.1, about a
+    # tenth of its mass violates 2.0
+    for budget in (0.1, 2.0):
+        spec = ConstrainedRewardSpec(budget=budget)
+        result = evaluate_policy(mdp, student, teacher, spec)
+        direct = sum(p for traj, p in env.enumerate_trajectories(
+            mdp, student, teacher, spec) if traj.total_cost > budget)
+        assert result.violation_probability == pytest.approx(direct,
+                                                             abs=1e-12)
+        assert result.constraint_satisfaction == \
+            pytest.approx(1.0 - direct, abs=1e-12)
+    assert 0.0 < direct < 1.0
 
 
 def test_sampled_fallback_when_enumeration_exceeds_cap(monkeypatch):

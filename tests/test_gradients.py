@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from crldistill import divergence as dv
-from crldistill import env, gradients, shaping, verification
+from crldistill import env, gradients, shaping
 from crldistill.env import Trajectory
 from crldistill.gradients import (BASELINE_GROUP, BASELINE_NONE,
                                   CREDIT_STEP, CREDIT_TO_GO, FD_STEP,
                                   boundary_margin, exact_gradient,
                                   finite_difference_gradient,
-                                  likelihood_ratio_term, objective_value,
-                                  total_gradient)
+                                  likelihood_ratio_term, total_gradient)
 from crldistill.policies import SoftmaxPolicy, TeacherPolicy
 from crldistill.shaping import ConstrainedRewardSpec
 
@@ -115,29 +114,63 @@ def test_exact_gradient_matches_finite_differences(mode, kw):
     assert float(np.linalg.norm(analytic - fd)) / denom <= 1e-4
 
 
-def test_kl_only_step_credit_is_pull_term_only():
-    # per-step credit gives a likelihood-ratio term whose expectation is an
-    # exact zero (the credit at a step does not depend on the token taken),
-    # so the whole signal is the analytic divergence pull
+@pytest.mark.parametrize("kw,kind,coefficient", [
+    ({"mode": shaping.UNAUGMENTED, "penalty_kind": dv.JENSEN_SHANNON},
+     dv.JENSEN_SHANNON, 1.0),
+    ({"mode": shaping.LAGRANGIAN, "lagrange_weight": 0.5}, dv.REVERSE_KL, 0.5),
+    ({"mode": shaping.KL_LONG_HORIZON, "discount": 0.9}, dv.REVERSE_KL, 1.0),
+    ({"mode": shaping.KL_ONLY}, dv.REVERSE_KL, 1.0),
+], ids=["unaugmented-js", "lagrangian", "kl-long-horizon", "kl-only"])
+def test_term_ii_matches_hand_sum(kw, kind, coefficient):
+    # term ii: minus the probability-weighted, discounted divergence gradient
+    # on boundary or violated steps (un-augmented) or on every step
     mdp, student, teacher = small_instance(seed=6)
-    spec = ConstrainedRewardSpec(budget=0.2, mode=shaping.KL_ONLY)
+    spec = ConstrainedRewardSpec(budget=0.2, **kw)
     est = exact_gradient(mdp, student, teacher, spec)
-    np.testing.assert_allclose(est.term_i, 0.0, atol=1e-12)
+    if spec.mode == shaping.KL_ONLY:
+        # per-step credit gives a likelihood-ratio term whose expectation is
+        # an exact zero (the credit at a step does not depend on the token
+        # taken), so the whole signal is the analytic divergence pull
+        np.testing.assert_allclose(est.term_i, 0.0, atol=1e-12)
 
     expected = np.zeros_like(student.logits)
     for traj, p in env.enumerate_trajectories(mdp, student, teacher, spec):
-        for s in traj.states:
-            expected -= p * dv.divergence_gradient(student, teacher, s,
-                                                   spec.cost_kind)
+        remaining = spec.budget
+        for t, (s, c) in enumerate(zip(traj.states, traj.costs)):
+            if spec.mode != shaping.UNAUGMENTED \
+                    or remaining <= spec.boundary_tol:
+                expected -= p * coefficient * spec.discount ** t * \
+                    dv.divergence_gradient(student, teacher, s, kind)
+            remaining -= c
+    assert np.abs(expected).max() > 1e-3
     np.testing.assert_allclose(est.term_ii, expected, atol=1e-12)
 
 
-def test_objective_value_matches_policy_value():
+def test_default_weights_are_the_batch_mean():
     mdp, student, teacher = small_instance(seed=7)
-    spec = ConstrainedRewardSpec(budget=0.2)
-    v1 = objective_value(mdp, student, teacher, spec)
-    v2, _ = verification.policy_value(mdp, student, teacher, spec)
-    assert v1 == pytest.approx(v2, abs=1e-14)
+    rng = np.random.default_rng(3)
+    for mode in shaping.MODES:
+        spec = ConstrainedRewardSpec(budget=0.2, mode=mode,
+                                     lagrange_weight=0.5)
+        trajs = [env.rollout(mdp, student, teacher, spec, rng)
+                 for _ in range(8)]
+        default = total_gradient(student, teacher, trajs, spec)
+        weighted = total_gradient(student, teacher, trajs, spec,
+                                  weights=[1 / 8] * 8)
+        np.testing.assert_array_equal(weighted.term_i, default.term_i)
+        np.testing.assert_array_equal(weighted.term_ii, default.term_ii)
+        singles = [total_gradient(student, teacher, [t], spec).table
+                   for t in trajs]
+        np.testing.assert_allclose(default.table, sum(singles) / 8,
+                                   rtol=0, atol=1e-14)
+
+
+def test_empty_batch_gives_zero_table():
+    mdp, student, teacher = small_instance()
+    est = total_gradient(student, teacher, [], ConstrainedRewardSpec(
+        mode=shaping.KL_ONLY))
+    np.testing.assert_array_equal(est.table, np.zeros_like(student.logits))
+    assert est.num_trajectories == 0
 
 
 def test_boundary_margin_positive_off_boundary():

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 import yaml
 
@@ -75,6 +77,17 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict(small_config(teacher={}))
     with pytest.raises(ConfigError, match="cannot read config"):
         ExperimentConfig.from_file("/nonexistent/exp.yaml")
+
+
+def test_config_exponent_floats_load_as_floats(tmp_path):
+    # YAML 1.1 reads an exponent without a dot as a string
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(SMALL_CONFIG)
+                    .replace("budget: 0.35", "budget: 35e-2")
+                    .replace("train:\n", "train:\n  learning_rate: 3e-2\n"))
+    config = ExperimentConfig.from_file(path)
+    assert config.train_kw["learning_rate"] == 0.03
+    assert [s.budget for s in config.method_specs] == [0.35, 0.35]
 
 
 def test_config_task_from_file(tmp_path):
@@ -209,6 +222,28 @@ def test_missing_run_detected(small_run, tmp_path):
         assert exc.value.gaps == ["unaugmented__seed1"]
     finally:
         os.replace(moved, victim)
+
+
+def test_interrupted_policy_save_leaves_no_file(tmp_path, monkeypatch):
+    real_savez = np.savez
+
+    def savez_fails_halfway(file, **arrays):
+        buf = io.BytesIO()
+        real_savez(buf, **arrays)
+        half = buf.getvalue()[:len(buf.getvalue()) // 2]
+        if hasattr(file, "write"):
+            file.write(half)
+        else:
+            with open(file, "wb") as fh:
+                fh.write(half)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_fails_halfway)
+    config = ExperimentConfig.from_dict(small_config(
+        methods=[{"mode": "reward-only"}], seeds=[0]))
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(config, output_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path / "runs")) == ["reward-only__seed0.log"]
 
 
 def test_theorem_reports_roundtrip(tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from crldistill import divergence as dv
 from crldistill.policies import (SoftmaxPolicy, TeacherPolicy,
-                                 floor_distribution, grad_log_prob,
-                                 load_policy, save_policy, teacher_copy)
+                                 floor_distribution, load_policy,
+                                 save_policy, teacher_copy)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
@@ -39,23 +39,6 @@ def test_from_probs_roundtrip():
                                    atol=1e-12)
 
 
-def test_grad_log_prob_matches_finite_differences():
-    policy = SoftmaxPolicy(np.random.default_rng(1).normal(size=(3, 4)))
-    state, token = 1, 2
-    analytic = grad_log_prob(policy, state, token)
-    step = 1e-6
-    fd = np.zeros_like(policy.logits)
-    for idx in np.ndindex(3, 4):
-        saved = policy.logits[idx]
-        policy.logits[idx] = saved + step
-        hi = np.log(policy.action_probs(state)[token])
-        policy.logits[idx] = saved - step
-        lo = np.log(policy.action_probs(state)[token])
-        policy.logits[idx] = saved
-        fd[idx] = (hi - lo) / (2 * step)
-    np.testing.assert_allclose(analytic, fd, atol=1e-6)
-
-
 def test_teacher_validation():
     with pytest.raises(ValueError):
         TeacherPolicy(np.array([[0.5, 0.6], [0.5, 0.5]]))  # rows must sum to 1
@@ -85,5 +68,3 @@ def test_validation_errors():
         SoftmaxPolicy(np.zeros(3))  # not 2-d
     with pytest.raises(ValueError):
         SoftmaxPolicy(np.zeros((2, 2)), floor=-1e-3)
-    with pytest.raises(ValueError):
-        grad_log_prob(SoftmaxPolicy.uniform(2, 2), 0, 5)

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,8 @@ from crldistill.verification import (TheoremReport, assumptions_battery,
                                      check_monotone_in_n,
                                      check_return_equivalence,
                                      equivalence_battery,
-                                     monotonicity_battery, policy_value,
-                                     random_instance, tension_suite)
+                                     monotonicity_battery, random_instance,
+                                     tension_suite)
 
 
 def test_random_instance_is_enumerable():
@@ -27,12 +30,21 @@ def test_random_instance_is_enumerable():
 
 
 def test_policy_value_penalized_mass_bounds():
+    # penalized: some step acts after the earlier steps' costs exhausted
+    # the budget, i.e. the budget minus all but the last cost is negative
     rng = np.random.default_rng(1)
     mdp, student, teacher = random_instance(rng)
-    value, mass = policy_value(mdp, student, teacher,
-                               ConstrainedRewardSpec(budget=0.05))
-    assert 0.0 <= mass <= 1.0
-    assert np.isfinite(value)
+    spec = ConstrainedRewardSpec(budget=0.05)
+    report = check_monotone_in_n(mdp, teacher,
+                                 [student, teacher_copy(teacher)], spec=spec)
+    expected = sum(p for traj, p in env.enumerate_trajectories(
+        mdp, student, teacher, spec)
+        if functools.reduce(operator.sub, traj.costs[:-1], spec.budget) < 0)
+    mass, copy_mass = report.details["penalized_mass"]
+    assert 0.0 < mass <= 1.0
+    assert mass == pytest.approx(expected, abs=1e-12)
+    assert copy_mass == 0.0
+    assert np.isfinite(report.max_deviation)
 
 
 def test_return_equivalence_small_battery():
