@@ -22,10 +22,10 @@ from .harness import (ExperimentConfig, MetricsRecord, emit_reports,
 from .policies import (SoftmaxPolicy, TeacherPolicy, floor_distribution,
                        load_policy, save_policy, teacher_copy)
 from .shaping import (KL_LONG_HORIZON, KL_ONLY, LAGRANGIAN, MODES,
-                      REWARD_ONLY, SAUTE, UNAUGMENTED, BudgetLedger,
-                      ConstrainedRewardSpec, boundary_flags,
-                      lagrangian_step_reward, saute_reward, shape_rewards,
-                      unaug_reward)
+                      REWARD_ONLY, SAUTE, UNAUGMENTED, ConstrainedRewardSpec,
+                      boundary_flags, lagrangian_step_reward,
+                      remaining_budget, saute_reward, shape_rewards,
+                      term_ii_rule, unaug_reward)
 from .training import (Checkpoint, TrainConfig, TrainingDiverged,
                        method_label, resume, train, warm_start)
 from .verification import (TheoremReport, check_assumptions,

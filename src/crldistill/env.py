@@ -74,7 +74,11 @@ class Trajectory:
     costs: list[float]
     penalty_divergences: list[float]
     terminated: bool
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        """Cut at horizon_cap before reaching a terminal state."""
+        return not self.terminated
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -129,7 +133,7 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
         if done:
             terminated = True
             break
-    return Trajectory(states, tokens, rewards, costs, pens, terminated, not terminated)
+    return Trajectory(states, tokens, rewards, costs, pens, terminated)
 
 
 def state_tables(mdp, student, teacher, spec):
@@ -199,7 +203,7 @@ def rollout_batch(mdp, student, teacher, spec,
             rewards[-1] = mdp.reward_at(int(state[k]))
         out.append(Trajectory(ss, tokens[k, :length].tolist(), rewards,
                               [cost[s] for s in ss], [pen[s] for s in ss],
-                              done, not done))
+                              done))
     return out
 
 
@@ -215,16 +219,18 @@ def enumerate_trajectories(mdp, student, teacher, spec,
     results: list[tuple[Trajectory, float]] = []
     budget = [leaf_cap]
 
+    def leaf(ss, aa, rr, terminated, prob):
+        budget[0] -= 1
+        results.append((Trajectory(list(ss), list(aa), list(rr),
+                                   [cost[s] for s in ss],
+                                   [pen[s] for s in ss], terminated), prob))
+
     def walk(state, depth, prob, ss, aa, rr):
         if budget[0] <= 0:
             raise EnumerationCapExceeded(
                 f"enumeration exceeds cap of {leaf_cap} leaves")
         if depth == mdp.horizon_cap:
-            budget[0] -= 1
-            results.append((Trajectory(list(ss), list(aa), list(rr),
-                                       [cost[s] for s in ss],
-                                       [pen[s] for s in ss],
-                                       False, True), prob))
+            leaf(ss, aa, rr, False, prob)
             return
         row = probs[state]
         for a in range(mdp.vocab_size):
@@ -234,11 +240,7 @@ def enumerate_trajectories(mdp, student, teacher, spec,
             aa.append(a)
             rr.append(r)
             if done:
-                budget[0] -= 1
-                results.append((Trajectory(list(ss), list(aa), list(rr),
-                                           [cost[s] for s in ss],
-                                           [pen[s] for s in ss],
-                                           True, False), pa))
+                leaf(ss, aa, rr, True, pa)
             else:
                 walk(nxt, depth + 1, pa, ss, aa, rr)
             ss.pop()

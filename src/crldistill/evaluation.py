@@ -52,6 +52,13 @@ def evaluate_policy(mdp: TokenMdp, student, teacher,
         mean_kl += p * cost
         if cost > spec.budget:
             violation += p
-    return EvalResult(float(success), float(mean_kl), float(1.0 - violation),
-                      float(violation), exact)
+    return EvalResult(_probability(success), float(mean_kl),
+                      _probability(1.0 - violation), _probability(violation),
+                      exact)
+
+
+def _probability(mass) -> float:
+    """A summed probability mass clamped into [0, 1], where rounding can
+    carry it by an ulp; values inside keep their bits."""
+    return min(max(float(mass), 0.0), 1.0)
 

@@ -89,7 +89,6 @@ def likelihood_ratio_term(student, trajectories: list[Trajectory],
                           groups: list[list[int]] | None = None,
                           credit: str = CREDIT_TO_GO,
                           discount: float = 1.0,
-                          normalize: bool = False,
                           weights: Sequence[float] | None = None) -> np.ndarray:
     """Weighted sum over trajectories of sum_t grad log pi(a_t|s_t) * advantage_t.
 
@@ -101,13 +100,6 @@ def likelihood_ratio_term(student, trajectories: list[Trajectory],
         if groups is None:
             raise ValueError("group baseline requires group assignments")
         base = _group_baselines(credits, groups)
-        if normalize:
-            for members in groups:
-                totals = [credits[i][0] if credits[i] else 0.0 for i in members]
-                scale = float(np.std(totals)) + 1e-8
-                for i in members:
-                    credits[i] = [(c - b) / scale + b
-                                  for c, b in zip(credits[i], base[i])]
     elif baseline == BASELINE_NONE:
         base = [[0.0] * len(c) for c in credits]
     else:
@@ -128,21 +120,10 @@ def explicit_dependence_term(student, teacher, trajectories: list[Trajectory],
                              spec: ConstrainedRewardSpec,
                              weights: Sequence[float] | None = None) -> np.ndarray:
     """Minus the weighted, discounted divergence gradient on the steps whose
-    shaped reward contains the divergence itself.
-
-    un-augmented: the penalty divergence on boundary or violated steps;
-    lagrangian: lagrange_weight times the cost at every step; kl-only and
-    kl-long-horizon: the cost at every step; other modes: zero.
-    """
+    shaped reward contains the divergence itself, as `shaping.term_ii_rule`
+    names them for the spec's mode."""
     table = np.zeros_like(student.logits)
-    if spec.mode == shaping.UNAUGMENTED:
-        kind, coefficient, mask = spec.penalty_kind, 1.0, shaping.boundary_flags
-    elif spec.mode == shaping.LAGRANGIAN:
-        kind, coefficient, mask = spec.cost_kind, spec.lagrange_weight, None
-    elif spec.mode in (shaping.KL_ONLY, shaping.KL_LONG_HORIZON):
-        kind, coefficient, mask = spec.cost_kind, 1.0, None
-    else:
-        return table
+    kind, coefficient, mask = shaping.term_ii_rule(spec)
     if coefficient == 0.0:
         return table
     grads = _PerState(lambda s: dv.divergence_gradient(
@@ -165,7 +146,6 @@ def total_gradient(student, teacher, trajectories: list[Trajectory],
                    spec: ConstrainedRewardSpec,
                    baseline: str = BASELINE_NONE,
                    groups: list[list[int]] | None = None,
-                   normalize: bool = False,
                    weights: Sequence[float] | None = None) -> GradientEstimate:
     """Full ascent direction for the spec's mode: the mean over a sampled
     batch, or the expectation when `weights` are the trajectories'
@@ -174,8 +154,7 @@ def total_gradient(student, teacher, trajectories: list[Trajectory],
     term_i = likelihood_ratio_term(student, trajectories, shaped,
                                    baseline=baseline, groups=groups,
                                    credit=_credit_mode(spec),
-                                   discount=spec.discount,
-                                   normalize=normalize, weights=weights)
+                                   discount=spec.discount, weights=weights)
     term_ii = explicit_dependence_term(student, teacher, trajectories, spec,
                                        weights=weights)
     return GradientEstimate(term_i + term_ii, term_i, term_ii,
@@ -242,9 +221,7 @@ def boundary_margin(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float
     """
     margin = np.inf
     for traj, _ in enumerate_trajectories(mdp, student, teacher, spec):
-        ledger = shaping.BudgetLedger(spec.budget)
-        for c in traj.costs:
-            margin = min(margin, abs(ledger.remaining - spec.boundary_tol),
-                         abs(ledger.remaining))
-            ledger.charge(c)
+        for remaining in shaping.remaining_budget(traj.costs, spec.budget):
+            margin = min(margin, abs(remaining - spec.boundary_tol),
+                         abs(remaining))
     return float(margin)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import tempfile
@@ -72,9 +73,9 @@ _TOP_KEYS = {"schema_version", "task", "teacher", "methods", "seeds",
              "output_dir", "train", "spec"}
 _TASK_KEYS = {"family", "params", "file"}
 _TEACHER_KEYS = {"kind", "params", "table"}
-_TRAIN_KEYS = {"epochs", "batches_per_epoch", "groups_per_batch",
-               "rollouts_per_group", "learning_rate", "optimizer",
-               "warm_start_epochs", "normalize_advantages"}
+# the TrainConfig fields a config sets (spec and seed come per cell)
+_TRAIN_KEYS = ({f.name for f in dataclasses.fields(TrainConfig)}
+               - {"spec", "seed"}) | {"warm_start_epochs"}
 _SPEC_KEYS = {"budget", "penalty", "boundary_tol", "cost_kind",
               "penalty_kind", "discount"}
 _METHOD_KEYS = {"mode", "lagrange_weight", "penalty", "budget",
@@ -254,12 +255,10 @@ def run_experiment(config: ExperimentConfig, force: bool = False,
         train_config = TrainConfig(spec=spec, seed=seed, **config.train_kw)
         start = warm_start(config.mdp, config.teacher, train_config,
                            epochs_kl=config.warm_start_epochs)
-        log_path = os.path.join(runs_dir, cell + ".log")
-        with open(log_path + ".tmp", "w") as log_file:
+        with _atomic_file(os.path.join(runs_dir, cell + ".log")) as log_file:
             policy, checkpoints = train(config.mdp, config.teacher,
                                         train_config, initial_policy=start,
                                         log_file=log_file)
-        os.replace(log_path + ".tmp", log_path)
         with _atomic_file(os.path.join(runs_dir, cell + ".npz"), "wb") as fh:
             save_policy(policy, fh)
         result = evaluate_policy(config.mdp, policy, config.teacher, spec,

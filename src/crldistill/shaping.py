@@ -3,8 +3,7 @@
 # relaxation, and the distillation-only variants.
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import divergence as dv
 from .env import Trajectory
@@ -57,28 +56,18 @@ class ConstrainedRewardSpec:
         return replace(self, mode=mode, **kw)
 
 
-@dataclass
-class BudgetLedger:
-    """Remaining budget along a trajectory, updated by sequential subtraction."""
-
-    budget: float
-    remaining: float = field(default=math.nan)
-    cumulative_cost: float = 0.0
-
-    def __post_init__(self):
-        if math.isnan(self.remaining):
-            self.remaining = self.budget
-
-    def charge(self, cost: float) -> None:
-        if cost < 0:
+def remaining_budget(costs, budget: float) -> list[float]:
+    """Budget left before each step: `budget` minus the costs of the earlier
+    steps, subtracted one at a time. A step is feasible while its entry is
+    >= 0; this is the Saute state rebuilt from history."""
+    out = []
+    remaining = budget
+    for c in costs:
+        if c < 0:
             raise ValueError("costs must be nonnegative")
-        self.cumulative_cost += cost
-        self.remaining -= cost
-
-
-def feasible_at(ledger: BudgetLedger) -> bool:
-    """True while the budget accumulated over earlier steps is not exhausted."""
-    return ledger.remaining >= 0.0
+        out.append(remaining)
+        remaining -= c
+    return out
 
 
 def unaug_reward(traj: Trajectory, spec: ConstrainedRewardSpec,
@@ -90,16 +79,15 @@ def unaug_reward(traj: Trajectory, spec: ConstrainedRewardSpec,
     `include_divergence_penalty=False` drops the divergence term, for parity
     checks against the state-augmented reference.
     """
-    ledger = BudgetLedger(spec.budget)
     out = []
-    for r, c, p in zip(traj.task_rewards, traj.costs, traj.penalty_divergences):
-        if feasible_at(ledger):
+    for r, p, remaining in zip(traj.task_rewards, traj.penalty_divergences,
+                               remaining_budget(traj.costs, spec.budget)):
+        if remaining >= 0.0:
             out.append(r)
         elif include_divergence_penalty:
             out.append(-(spec.penalty + p))
         else:
             out.append(-spec.penalty)
-        ledger.charge(c)
     return out
 
 
@@ -138,9 +126,25 @@ def shape_rewards(traj: Trajectory, spec: ConstrainedRewardSpec) -> list[float]:
 def boundary_flags(traj: Trajectory, spec: ConstrainedRewardSpec) -> list[bool]:
     """Steps whose remaining budget (before the step's own cost) is within
     the boundary tolerance or already exhausted."""
-    ledger = BudgetLedger(spec.budget)
-    flags = []
-    for c in traj.costs:
-        flags.append(ledger.remaining <= spec.boundary_tol)
-        ledger.charge(c)
-    return flags
+    return [remaining <= spec.boundary_tol
+            for remaining in remaining_budget(traj.costs, spec.budget)]
+
+
+def term_ii_rule(spec: ConstrainedRewardSpec):
+    """The divergence that the mode's shaped reward contains, as
+    (kind, coefficient, flags): term ii of the gradient is minus coefficient
+    times the discounted gradient of the `kind` divergence on the steps where
+    `flags(traj, spec)` holds, or on every step when flags is None.
+
+    un-augmented: the penalty divergence on boundary or violated steps (the
+    band [0, boundary_tol] included, although its reward carries no
+    divergence); lagrangian: lagrange_weight times the cost; kl-only and
+    kl-long-horizon: the cost; saute and reward-only: coefficient 0, no term.
+    """
+    if spec.mode == UNAUGMENTED:
+        return spec.penalty_kind, 1.0, boundary_flags
+    if spec.mode == LAGRANGIAN:
+        return spec.cost_kind, spec.lagrange_weight, None
+    if spec.mode in (KL_ONLY, KL_LONG_HORIZON):
+        return spec.cost_kind, 1.0, None
+    return spec.cost_kind, 0.0, None

@@ -15,9 +15,6 @@ from .evaluation import evaluate_policy
 from .policies import SoftmaxPolicy
 from .shaping import ConstrainedRewardSpec
 
-OPTIMIZER_ADAM = "adam"
-OPTIMIZER_SGA = "sga"
-
 TOY_LEARNING_RATE = 5e-2
 
 
@@ -38,9 +35,6 @@ class TrainConfig:
     batches_per_epoch: int = 10
     epochs: int = 20
     learning_rate: float = TOY_LEARNING_RATE
-    optimizer: str = OPTIMIZER_ADAM
-    baseline: str = gradients.BASELINE_GROUP
-    normalize_advantages: bool = False
 
     def __post_init__(self):
         for name, low in (("seed", 0), ("groups_per_batch", 1),
@@ -57,13 +51,6 @@ class TrainConfig:
                 or not 0 < self.learning_rate < math.inf):
             raise ValueError("learning_rate must be a positive number,"
                              f" got {self.learning_rate!r}")
-        if self.optimizer not in (OPTIMIZER_ADAM, OPTIMIZER_SGA):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.baseline not in (gradients.BASELINE_GROUP,
-                                 gradients.BASELINE_NONE):
-            raise ValueError(f"unknown baseline mode {self.baseline!r}")
-        if not isinstance(self.normalize_advantages, bool):
-            raise ValueError("normalize_advantages must be true or false")
 
     @property
     def batch_size(self) -> int:
@@ -89,11 +76,14 @@ def method_label(spec: ConstrainedRewardSpec) -> str:
 
 
 class AdamAscent:
-    """Adaptive-moment gradient ascent (bias-corrected)."""
+    """Adaptive-moment gradient ascent (bias-corrected).
+
+    `state` is what `state()` returned, before or after the first update.
+    """
 
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8, state=None):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        if state is None:
+        if state is None or state["step_count"] == 0:
             self.m = None
             self.v = None
             self.step_count = 0
@@ -118,27 +108,6 @@ class AdamAscent:
             return {"m": 0, "v": 0, "step_count": 0}
         return {"m": self.m.copy(), "v": self.v.copy(),
                 "step_count": self.step_count}
-
-
-class SgaAscent:
-    """Plain gradient ascent."""
-
-    def __init__(self, lr):
-        self.lr = lr
-
-    def update(self, params: np.ndarray, grad: np.ndarray) -> None:
-        params += self.lr * grad
-
-    def state(self) -> dict:
-        return {}
-
-
-def _make_optimizer(config: TrainConfig, state=None):
-    if config.optimizer == OPTIMIZER_ADAM:
-        if state is not None and state.get("step_count", 0) == 0:
-            state = None
-        return AdamAscent(config.learning_rate, state=state)
-    return SgaAscent(config.learning_rate)
 
 
 def _epoch_uniforms(config: TrainConfig, horizon: int, epoch: int,
@@ -190,7 +159,7 @@ def train(mdp, teacher, config: TrainConfig,
         student = SoftmaxPolicy.uniform(mdp.num_states, mdp.vocab_size)
     else:
         student = initial_policy.copy()
-    optimizer = _make_optimizer(config, optimizer_state)
+    optimizer = AdamAscent(config.learning_rate, state=optimizer_state)
     label = method_label(config.spec)
     checkpoints: list[Checkpoint] = []
 
@@ -201,8 +170,7 @@ def train(mdp, teacher, config: TrainConfig,
                                           uniforms[batch])
             estimate = gradients.total_gradient(
                 student, teacher, trajs, config.spec,
-                baseline=config.baseline, groups=groups,
-                normalize=config.normalize_advantages)
+                baseline=gradients.BASELINE_GROUP, groups=groups)
             optimizer.update(student.logits, estimate.table)
             if not np.isfinite(student.logits).all():
                 raise TrainingDiverged(

@@ -125,12 +125,9 @@ def check_monotone_in_n(mdp, teacher, policies: list[SoftmaxPolicy],
 def _penalized(traj, budget: float) -> bool:
     """Whether some step acts with the budget already exhausted, where the
     un-augmented reward is the penalty."""
-    ledger = shaping.BudgetLedger(budget)
-    for c in traj.costs:
-        if not shaping.feasible_at(ledger):
-            return True
-        ledger.charge(c)
-    return False
+    return not all(remaining >= 0.0
+                   for remaining in shaping.remaining_budget(traj.costs,
+                                                             budget))
 
 
 def check_constraint_satisfaction(mdp, student, teacher,

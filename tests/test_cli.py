@@ -1,9 +1,10 @@
 import pytest
 import yaml
 
-from crldistill import cli
+from crldistill import cli, harness
 from crldistill.cli import (EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE,
                             EXIT_VERIFICATION_FAILURE, main)
+from crldistill.training import TrainingDiverged
 
 from test_harness import SMALL_CONFIG
 
@@ -84,6 +85,19 @@ def test_negative_seed_override_fails_before_writing(tmp_path, capsys):
     config = write_config(tmp_path, output_dir=str(out), **ONE_CELL)
     assert_usage_error_before_writing(["run", str(config), "--seed", "-1"],
                                       out, capsys)
+
+
+def test_diverged_training_leaves_no_temp_log(tmp_path, capsys,
+                                             monkeypatch):
+    def diverges(*args, **kwargs):
+        raise TrainingDiverged("non-finite parameters", [])
+
+    monkeypatch.setattr(harness, "train", diverges)
+    out = tmp_path / "results"
+    config = write_config(tmp_path, output_dir=str(out))
+    assert main(["run", str(config)]) == EXIT_RUN_FAILURE
+    assert "training diverged" in capsys.readouterr().err
+    assert list((out / "runs").iterdir()) == []
 
 
 def test_report_without_runs_fails(tmp_path, capsys):

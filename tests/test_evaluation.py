@@ -55,6 +55,22 @@ def test_violation_probability_matches_evaluation():
     assert 0.0 < direct < 1.0
 
 
+def test_probabilities_are_clamped_to_the_unit_interval():
+    # every trajectory violates a budget of 0.1; the leaf probabilities of
+    # this student sum to one ulp above 1
+    mdp = env.chain_with_distractors()
+    teacher = env.tension_teacher(mdp)
+    student = SoftmaxPolicy(np.random.default_rng(0).normal(
+        scale=1.0, size=(mdp.num_states, mdp.vocab_size)))
+    spec = ConstrainedRewardSpec(budget=0.1)
+    assert sum(p for _, p in env.enumerate_trajectories(
+        mdp, student, teacher, spec)) > 1.0
+    result = evaluate_policy(mdp, student, teacher, spec)
+    assert result.violation_probability == 1.0
+    assert result.constraint_satisfaction == 0.0
+    assert 0.0 <= result.task_success_rate <= 1.0
+
+
 def test_sampled_fallback_when_enumeration_exceeds_cap(monkeypatch):
     mdp = env.chain(2, horizon_cap=4)
     student = SoftmaxPolicy.uniform(mdp.num_states, mdp.vocab_size)

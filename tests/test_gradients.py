@@ -45,7 +45,7 @@ def test_group_baseline_zeroes_identical_returns():
     mdp, student, teacher = small_instance()
     spec = ConstrainedRewardSpec(mode=shaping.REWARD_ONLY)
     traj = Trajectory([0, 2], [0, 0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0],
-                      True, False)
+                      True)
     trajs = [traj, traj, traj]
     shaped = [shaping.shape_rewards(t, spec) for t in trajs]
     term = likelihood_ratio_term(student, trajs, shaped,
@@ -144,6 +144,19 @@ def test_term_ii_matches_hand_sum(kw, kind, coefficient):
             remaining -= c
     assert np.abs(expected).max() > 1e-3
     np.testing.assert_allclose(est.term_ii, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("kw", [
+    {"mode": shaping.SAUTE}, {"mode": shaping.REWARD_ONLY},
+    {"mode": shaping.LAGRANGIAN, "lagrange_weight": 0.0},
+], ids=["saute", "reward-only", "lagrangian-0"])
+def test_term_ii_is_zero_without_divergence_in_reward(kw):
+    # these rewards contain no divergence, even on violated steps
+    mdp, student, teacher = small_instance(seed=6)
+    spec = ConstrainedRewardSpec(budget=0.2, **kw)
+    est = exact_gradient(mdp, student, teacher, spec)
+    np.testing.assert_array_equal(est.term_ii, np.zeros_like(student.logits))
+    assert np.abs(est.term_i).max() > 1e-3
 
 
 def test_default_weights_are_the_batch_mean():

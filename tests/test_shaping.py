@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from crldistill import shaping
 from crldistill.env import Trajectory
-from crldistill.shaping import (BudgetLedger, ConstrainedRewardSpec,
-                                boundary_flags, feasible_at,
-                                lagrangian_step_reward, saute_reward,
-                                shape_rewards, unaug_reward)
+from crldistill.shaping import (ConstrainedRewardSpec, boundary_flags,
+                                lagrangian_step_reward, remaining_budget,
+                                saute_reward, shape_rewards, unaug_reward)
 
 
 def make_traj(rewards, costs, pens=None):
@@ -16,7 +15,7 @@ def make_traj(rewards, costs, pens=None):
     return Trajectory(states=list(range(n)), tokens=[0] * n,
                       task_rewards=list(rewards), costs=list(costs),
                       penalty_divergences=list(pens or [0.0] * n),
-                      terminated=True, truncated=False)
+                      terminated=True)
 
 
 def test_unaug_reward_hand_example():
@@ -96,16 +95,18 @@ def test_boundary_flags_tolerance_band():
     assert boundary_flags(traj, tight) == [False, False, True]
 
 
-def test_budget_ledger():
-    ledger = BudgetLedger(0.5)
-    assert feasible_at(ledger)
-    ledger.charge(0.5)
-    assert feasible_at(ledger)  # boundary itself still feasible
-    ledger.charge(0.01)
-    assert not feasible_at(ledger)
-    assert ledger.cumulative_cost == pytest.approx(0.51)
+def test_remaining_budget():
+    # the budget left before each step, one cost subtracted at a time
+    remaining = remaining_budget([0.5, 0.01, 0.0], 0.5)
+    assert remaining == [0.5, 0.0, -0.01]
+    assert remaining[1] >= 0.0  # exactly 0 left is still feasible
+    assert not remaining[2] >= 0.0  # overspent by 0.01
+    assert remaining_budget([], 0.5) == []
+    traj = make_traj([0.0, 0.0, 1.0], [0.5, 0.01, 0.0])
+    assert unaug_reward(traj, ConstrainedRewardSpec(budget=0.5)) == \
+        [0.0, 0.0, -20.0]
     with pytest.raises(ValueError):
-        ledger.charge(-0.1)
+        remaining_budget([0.1, -0.1], 0.5)
 
 
 def test_spec_validation():
