@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .policies import floor_distribution
+
 REVERSE_KL = "reverse_kl"
 JENSEN_SHANNON = "js"
 KINDS = (REVERSE_KL, JENSEN_SHANNON)
@@ -15,23 +17,27 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown divergence kind {kind!r}; expected one of {KINDS}")
 
 
-def _divergence(p: np.ndarray, q: np.ndarray, kind: str) -> float:
+def divergence(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
+    """D_kind(p || q) over the last axis: one value per row of a table, or a
+    0-d value for one distribution."""
     # clamped at zero: rounding on near-identical rows can otherwise leak
     # tiny negative values into the (nonnegative) budget arithmetic
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == REVERSE_KL:
             terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-            return max(float(terms.sum()), 0.0)
+            return np.maximum(terms.sum(axis=-1), 0.0)
         m = 0.5 * (p + q)
         left = np.where(p > 0, p * (np.log(p) - np.log(m)), 0.0)
         right = np.where(q > 0, q * (np.log(q) - np.log(m)), 0.0)
-        return max(float(0.5 * (left.sum() + right.sum())), 0.0)
+        return np.maximum(0.5 * (left.sum(axis=-1) + right.sum(axis=-1)),
+                          0.0)
 
 
 def per_state_cost(student, teacher, state: int, kind: str = REVERSE_KL) -> float:
     """Budget cost at one state: D_kind(student row || teacher row)."""
     _check_kind(kind)
-    return _divergence(student.action_probs(state), teacher.action_probs(state), kind)
+    return float(divergence(student.action_probs(state),
+                            teacher.action_probs(state), kind))
 
 
 def _grad_wrt_probs(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
@@ -43,23 +49,24 @@ def _grad_wrt_probs(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     return 0.5 * (np.log(p) - np.log(m))
 
 
-def divergence_gradient(student, teacher, state: int,
+def divergence_gradient(student, teacher, state,
                         kind: str = REVERSE_KL) -> np.ndarray:
     """Exact gradient of per_state_cost w.r.t. the student logits.
 
     For reverse KL this is the score-function expectation
     E_{a~pi}[grad log pi(a|s) (1 + log pi(a|s) - log mu(a|s))], carried
     through the probability floor so it matches finite differences exactly.
-    Nonzero only in the row for `state`.
+    Nonzero only in the row for `state`; `policies.ALL_STATES` gives every
+    state's row at once.
     """
     _check_kind(kind)
     q = student.raw_probs(state)
-    p = student.action_probs(state)
+    p = floor_distribution(q, student.floor)
     mu = teacher.action_probs(state)
     scale = 1.0 + student.vocab_size * student.floor
     with np.errstate(divide="ignore", invalid="ignore"):
         w = q * _grad_wrt_probs(p, mu, kind)
-    row = (w - q * w.sum()) / scale
+        row = (w - q * w.sum(axis=-1, keepdims=True)) / scale
     g = np.zeros_like(student.logits)
     g[state] = row
     return g

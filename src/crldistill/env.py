@@ -5,9 +5,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import yaml
+
+from . import divergence as dv
+from .policies import ALL_STATES, TeacherPolicy
 
 ENUMERATION_LEAF_CAP = 10**6
 
@@ -92,6 +96,62 @@ class Trajectory:
         return sum(self.costs)
 
 
+@dataclass(eq=False)
+class TrajectoryBatch:
+    """B trajectories as padded (B, T) arrays, the form the estimator uses.
+
+    Row k holds trajectory k's first `lengths[k]` steps: acting states,
+    tokens, task rewards, costs and penalty divergences (see `Trajectory`).
+    Past a row's length every entry is 0. Indexing (and so iteration) gives
+    `Trajectory` objects.
+    """
+
+    states: np.ndarray  # (B, T) int
+    tokens: np.ndarray  # (B, T) int
+    lengths: np.ndarray  # (B,) int
+    rewards: np.ndarray  # (B, T) float
+    costs: np.ndarray  # (B, T) float
+    penalties: np.ndarray  # (B, T) float
+    terminated: np.ndarray  # (B,) bool
+
+    @cached_property
+    def live(self) -> np.ndarray:
+        """(B, T) mask of the steps each row actually took."""
+        return np.arange(self.states.shape[1]) < self.lengths[:, None]
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, k: int) -> Trajectory:
+        n = int(self.lengths[k])
+        steps = (self.states, self.tokens, self.rewards, self.costs,
+                 self.penalties)
+        return Trajectory(*(a[k, :n].tolist() for a in steps),
+                          bool(self.terminated[k]))
+
+    @classmethod
+    def stack(cls, trajectories) -> "TrajectoryBatch":
+        """A batch of the given `Trajectory` objects, in order; a batch is
+        returned as it is."""
+        if isinstance(trajectories, cls):
+            return trajectories
+        trajs = list(trajectories)
+        lengths = np.array([len(t) for t in trajs], dtype=np.int64)
+        live = np.arange(lengths.max(initial=0)) < lengths[:, None]
+
+        def pad(names, dtype):
+            out = np.zeros((len(names),) + live.shape, dtype)
+            out[:, live] = [[x for t in trajs for x in getattr(t, name)]
+                            for name in names]
+            return out
+
+        states, tokens = pad(("states", "tokens"), np.int64)
+        rewards, costs, pens = pad(
+            ("task_rewards", "costs", "penalty_divergences"), np.float64)
+        return cls(states, tokens, lengths, rewards, costs, pens,
+                   np.array([t.terminated for t in trajs], dtype=bool))
+
+
 def step(mdp: TokenMdp, state: int, token: int) -> tuple[int, float, bool]:
     """Apply one token: returns (next_state, task_reward, is_terminal)."""
     if not 0 <= state < mdp.num_states:
@@ -111,8 +171,6 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
     divergence kinds named in `spec`. Draws one `rng.random()` per step; this
     scalar path is the reference that `rollout_batch` reproduces.
     """
-    from . import divergence as dv
-
     states, tokens, rewards, costs, pens = [], [], [], [], []
     s = mdp.initial_state
     terminated = False
@@ -124,11 +182,11 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
         states.append(s)
         tokens.append(a)
         rewards.append(r)
-        cost = dv.per_state_cost(student, teacher, s, spec.cost_kind)
+        mu = teacher.action_probs(s)
+        cost = float(dv.divergence(p, mu, spec.cost_kind))
         costs.append(cost)
         pens.append(cost if spec.penalty_kind == spec.cost_kind
-                    else dv.per_state_cost(student, teacher, s,
-                                           spec.penalty_kind))
+                    else float(dv.divergence(p, mu, spec.penalty_kind)))
         s = nxt
         if done:
             terminated = True
@@ -137,25 +195,22 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
 
 
 def state_tables(mdp, student, teacher, spec):
-    """Per-state tables of a fixed student: action probabilities
+    """Per-state arrays of a fixed student: action probabilities
     (num_states, vocab_size), and the cost and penalty divergences against
-    the teacher as lists. The penalty table is the cost table itself when
-    `spec.penalty_kind == spec.cost_kind`: both are `per_state_cost`.
+    the teacher (num_states,), each computed over the whole table at once
+    with the per-state formulas. The penalty table is the cost table itself
+    when `spec.penalty_kind == spec.cost_kind`.
     """
-    from . import divergence as dv
-
-    states = range(mdp.num_states)
-    probs = np.stack([student.action_probs(s) for s in states])
-    cost = [dv.per_state_cost(student, teacher, s, spec.cost_kind)
-            for s in states]
+    probs = student.action_probs(ALL_STATES)
+    mu = teacher.action_probs(ALL_STATES)
+    cost = dv.divergence(probs, mu, spec.cost_kind)
     pen = cost if spec.penalty_kind == spec.cost_kind else \
-        [dv.per_state_cost(student, teacher, s, spec.penalty_kind)
-         for s in states]
+        dv.divergence(probs, mu, spec.penalty_kind)
     return probs, cost, pen
 
 
 def rollout_batch(mdp, student, teacher, spec,
-                  uniforms: np.ndarray) -> list[Trajectory]:
+                  uniforms: np.ndarray) -> TrajectoryBatch:
     """Sample one episode per row of `uniforms`, shape (B, horizon_cap).
 
     Row k acts at step t on `uniforms[k, t]` with the token rule of
@@ -173,10 +228,12 @@ def rollout_batch(mdp, student, teacher, spec,
     cum = np.cumsum(probs, axis=1)
     terminal = np.zeros(n, dtype=bool)
     terminal[list(mdp.terminal_states)] = True
+    reward_of = np.array([mdp.reward_at(s) for s in range(n)], dtype=float)
 
     count = u.shape[0]
     states = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
     tokens = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
+    rewards = np.zeros((count, mdp.horizon_cap))
     lengths = np.zeros(count, dtype=np.int64)
     state = np.full(count, mdp.initial_state, dtype=np.int64)
     alive = np.ones(count, dtype=bool)
@@ -190,21 +247,15 @@ def rollout_batch(mdp, student, teacher, spec,
         states[rows, t] = s
         tokens[rows, t] = a
         lengths[rows] = t + 1
-        state[rows] = mdp.transition[s, a]
-        alive[rows[terminal[state[rows]]]] = False
+        nxt = state[rows] = mdp.transition[s, a]
+        rewards[rows, t] = reward_of[nxt]
+        alive[rows[terminal[nxt]]] = False
 
-    out = []
-    for k in range(count):
-        length = int(lengths[k])
-        ss = states[k, :length].tolist()
-        done = bool(terminal[state[k]])
-        rewards = [0.0] * length
-        if done:
-            rewards[-1] = mdp.reward_at(int(state[k]))
-        out.append(Trajectory(ss, tokens[k, :length].tolist(), rewards,
-                              [cost[s] for s in ss], [pen[s] for s in ss],
-                              done))
-    return out
+    live = np.arange(mdp.horizon_cap) < lengths[:, None]
+    costs = np.where(live, cost[states], 0.0)
+    pens = costs if pen is cost else np.where(live, pen[states], 0.0)
+    return TrajectoryBatch(states, tokens, lengths, rewards, costs, pens,
+                           terminal[state])
 
 
 def enumerate_trajectories(mdp, student, teacher, spec,
@@ -216,6 +267,7 @@ def enumerate_trajectories(mdp, student, teacher, spec,
     `leaf_cap`.
     """
     probs, cost, pen = state_tables(mdp, student, teacher, spec)
+    cost, pen = cost.tolist(), pen.tolist()
     results: list[tuple[Trajectory, float]] = []
     budget = [leaf_cap]
 
@@ -311,8 +363,6 @@ def tension_teacher(mdp: TokenMdp, advance: float = 0.86,
     divergence than the default budget allows, while a small residual hazard
     stays affordable.
     """
-    from .policies import TeacherPolicy
-
     if not 0.0 < advance < 1.0:
         raise ValueError("advance must be in (0, 1)")
     hazard = (1.0 - advance) / 2.0

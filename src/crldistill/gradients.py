@@ -9,7 +9,8 @@ import numpy as np
 
 from . import divergence as dv
 from . import shaping
-from .env import Trajectory, enumerate_trajectories
+from .env import TrajectoryBatch, enumerate_trajectories
+from .policies import ALL_STATES
 from .shaping import ConstrainedRewardSpec
 
 BASELINE_NONE = "none"
@@ -29,62 +30,85 @@ class GradientEstimate:
     num_trajectories: int
 
 
-class _PerState(dict):
-    """Per-call memo of a function of the state: the student is fixed within
-    one estimator call, so each distinct state is evaluated once."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, state):
-        value = self[state] = self.fn(state)
-        return value
-
-
-def _returns_to_go(rewards: list[float], discount: float) -> list[float]:
-    g = 0.0
-    out = [0.0] * len(rewards)
-    for t in range(len(rewards) - 1, -1, -1):
-        g = rewards[t] + discount * g
-        out[t] = g
+def _returns_to_go(rewards, discount: float) -> np.ndarray:
+    """Discounted reward-to-go of each row of a (B, T) reward array, built
+    backwards one column at a time. Entries past a row's length must be 0,
+    so the row's last step sees a continuation of 0."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    out = np.empty_like(rewards)
+    g = np.zeros(rewards.shape[:-1])
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        g = rewards[..., t] + discount * g
+        out[..., t] = g
     return out
 
 
-def _credits(shaped: list[list[float]], discount: float,
-             credit: str) -> list[list[float]]:
+def _credits(shaped, discount: float, credit: str) -> np.ndarray:
     if credit == CREDIT_TO_GO:
-        return [_returns_to_go(r, discount) for r in shaped]
+        return _returns_to_go(shaped, discount)
     if credit == CREDIT_STEP:
-        return [list(r) for r in shaped]
+        return np.asarray(shaped, dtype=np.float64)
     raise ValueError(f"unknown credit mode {credit!r}")
 
 
-def _group_baselines(credits: list[list[float]],
-                     groups: list[list[int]]) -> list[list[float]]:
-    """Per step index, the mean credit over group members still running."""
-    base = [[0.0] * len(c) for c in credits]
-    for members in groups:
-        if len(members) < 2:
-            raise ValueError("group baseline requires groups of at least 2")
-        depth = max(len(credits[i]) for i in members)
-        for t in range(depth):
-            alive = [i for i in members if len(credits[i]) > t]
-            mean = sum(credits[i][t] for i in alive) / len(alive)
-            for i in alive:
-                base[i][t] = mean
-    return base
+def _group_baselines(credits: np.ndarray, groups: list[list[int]],
+                     lengths: np.ndarray) -> np.ndarray:
+    """Per step index, the mean credit over group members still running.
+
+    Members are added in their listed order, one column per step, as a
+    running scalar sum adds them; past a member's length its credit is 0,
+    which leaves the sum's bits unchanged. Groups are disjoint.
+    """
+    if any(len(members) < 2 for members in groups):
+        raise ValueError("group baseline requires groups of at least 2")
+    width = credits.shape[1]
+    size = max((len(members) for members in groups), default=0)
+    # (G, size) member rows; -1 pads a short group with an appended zero row
+    index = np.array([list(m) + [-1] * (size - len(m)) for m in groups],
+                     dtype=np.int64).reshape(len(groups), size)
+    members = np.vstack([credits, np.zeros(width)])[index]
+    total = np.zeros((len(groups), width))
+    for j in range(size):
+        total = total + members[:, j]
+    running = np.append(lengths, 0)[index][..., None] > np.arange(width)
+    base = np.zeros((len(credits) + 1, width))
+    base[index] = (total / np.maximum(running.sum(axis=1), 1))[:, None]
+    return base[:-1]
 
 
-def _weights(trajectories, weights: Sequence[float] | None) -> list[float]:
+def _weights(batch, weights: Sequence[float] | None) -> np.ndarray:
     """Per-trajectory weights: 1/B each (the batch mean) unless given."""
     if weights is None:
-        return [1.0 / max(len(trajectories), 1)] * len(trajectories)
-    return list(weights)
+        return np.full(len(batch), 1.0 / max(len(batch), 1))
+    return np.asarray(weights, dtype=np.float64)
 
 
-def likelihood_ratio_term(student, trajectories: list[Trajectory],
-                          shaped: list[list[float]],
+def _accumulate(shape, states: np.ndarray, minus: np.ndarray,
+                plus: np.ndarray | None = None,
+                tokens: np.ndarray | None = None) -> np.ndarray:
+    """A zero (num_states, vocab_size) table after, for each step k in turn,
+    `table[states[k]] -= minus[k]` and then, when given,
+    `table[states[k], tokens[k]] += plus[k]`.
+
+    The updates are laid out in that order and applied by one np.add.at,
+    which adds repeated indices in index order; x - y and x + (-y) are the
+    same IEEE operation, so every entry gets the loop's bits.
+    """
+    vocab = shape[1]
+    width = vocab if plus is None else vocab + 1
+    index = np.empty((len(states), width), dtype=np.int64)
+    values = np.empty((len(states), width))
+    index[:, :vocab] = (states * vocab)[:, None] + np.arange(vocab)
+    values[:, :vocab] = -minus
+    if plus is not None:
+        index[:, vocab] = states * vocab + tokens
+        values[:, vocab] = plus
+    table = np.zeros(shape[0] * vocab)
+    np.add.at(table, index.ravel(), values.ravel())
+    return table.reshape(shape)
+
+
+def likelihood_ratio_term(student, trajectories, shaped,
                           baseline: str = BASELINE_NONE,
                           groups: list[list[int]] | None = None,
                           credit: str = CREDIT_TO_GO,
@@ -92,73 +116,72 @@ def likelihood_ratio_term(student, trajectories: list[Trajectory],
                           weights: Sequence[float] | None = None) -> np.ndarray:
     """Weighted sum over trajectories of sum_t grad log pi(a_t|s_t) * advantage_t.
 
-    The default weights 1/B give the sampled mean; leaf probabilities give
-    the exact expectation.
+    `trajectories` is a `TrajectoryBatch` (or a list, stacked into one) and
+    `shaped` its (B, T) shaped rewards, 0 past each row's length. The
+    default weights 1/B give the sampled mean; leaf probabilities give the
+    exact expectation.
     """
+    batch = TrajectoryBatch.stack(trajectories)
     credits = _credits(shaped, discount, credit)
     if baseline == BASELINE_GROUP:
         if groups is None:
             raise ValueError("group baseline requires group assignments")
-        base = _group_baselines(credits, groups)
+        base = _group_baselines(credits, groups, batch.lengths)
     elif baseline == BASELINE_NONE:
-        base = [[0.0] * len(c) for c in credits]
+        base = 0.0
     else:
         raise ValueError(f"unknown baseline mode {baseline!r}")
 
-    probs = _PerState(student.action_probs)
-    table = np.zeros_like(student.logits)
-    for traj, cred, bs, w in zip(trajectories, credits, base,
-                                 _weights(trajectories, weights)):
-        for s, a, c, b in zip(traj.states, traj.tokens, cred, bs):
-            adv = (c - b) * w
-            table[s] -= adv * probs[s]
-            table[s, a] += adv
-    return table
+    adv = ((credits - base) * _weights(batch, weights)[:, None])[batch.live]
+    states = batch.states[batch.live]
+    probs = student.action_probs(ALL_STATES)
+    return _accumulate(student.logits.shape, states,
+                       adv[:, None] * probs[states], adv,
+                       batch.tokens[batch.live])
 
 
-def explicit_dependence_term(student, teacher, trajectories: list[Trajectory],
+def explicit_dependence_term(student, teacher, trajectories,
                              spec: ConstrainedRewardSpec,
                              weights: Sequence[float] | None = None) -> np.ndarray:
     """Minus the weighted, discounted divergence gradient on the steps whose
     shaped reward contains the divergence itself, as `shaping.term_ii_rule`
     names them for the spec's mode."""
-    table = np.zeros_like(student.logits)
     kind, coefficient, mask = shaping.term_ii_rule(spec)
     if coefficient == 0.0:
-        return table
-    grads = _PerState(lambda s: dv.divergence_gradient(
-        student, teacher, s, kind))
-    for traj, w in zip(trajectories, _weights(trajectories, weights)):
-        flags = mask(traj, spec) if mask else [True] * len(traj)
-        scale = w * coefficient
-        for s, flagged in zip(traj.states, flags):
-            if flagged:
-                table -= scale * grads[s]
-            scale *= spec.discount
-    return table
+        return np.zeros_like(student.logits)
+    batch = TrajectoryBatch.stack(trajectories)
+    flags = mask(batch, spec) if mask else batch.live
+    # weight * coefficient, times the discount once per step, left to right
+    factors = np.full((len(batch), batch.states.shape[1] + 1), spec.discount)
+    factors[:, 0] = _weights(batch, weights) * coefficient
+    scale = np.multiply.accumulate(factors, axis=1)[:, :-1]
+    states = batch.states[flags]
+    grads = dv.divergence_gradient(student, teacher, ALL_STATES, kind)
+    return _accumulate(student.logits.shape, states,
+                       scale[flags][:, None] * grads[states])
 
 
 def _credit_mode(spec: ConstrainedRewardSpec) -> str:
     return CREDIT_STEP if spec.mode == shaping.KL_ONLY else CREDIT_TO_GO
 
 
-def total_gradient(student, teacher, trajectories: list[Trajectory],
+def total_gradient(student, teacher, trajectories,
                    spec: ConstrainedRewardSpec,
                    baseline: str = BASELINE_NONE,
                    groups: list[list[int]] | None = None,
                    weights: Sequence[float] | None = None) -> GradientEstimate:
     """Full ascent direction for the spec's mode: the mean over a sampled
     batch, or the expectation when `weights` are the trajectories'
-    probabilities."""
-    shaped = [shaping.shape_rewards(t, spec) for t in trajectories]
-    term_i = likelihood_ratio_term(student, trajectories, shaped,
+    probabilities. `trajectories` is a `TrajectoryBatch` or a list."""
+    batch = TrajectoryBatch.stack(trajectories)
+    shaped = shaping.shape_rewards(batch, spec)
+    term_i = likelihood_ratio_term(student, batch, shaped,
                                    baseline=baseline, groups=groups,
                                    credit=_credit_mode(spec),
                                    discount=spec.discount, weights=weights)
-    term_ii = explicit_dependence_term(student, teacher, trajectories, spec,
+    term_ii = explicit_dependence_term(student, teacher, batch, spec,
                                        weights=weights)
-    return GradientEstimate(term_i + term_ii, term_i, term_ii,
-                            len(trajectories))
+    return GradientEstimate(term_i + term_ii, term_i, term_ii, len(batch))
 
 
 def exact_gradient(mdp, student, teacher,
@@ -179,23 +202,25 @@ def exact_gradient(mdp, student, teacher,
 FD_STEP = 1e-5
 
 
-def shaped_return(traj: Trajectory, spec: ConstrainedRewardSpec) -> float:
-    """Discounted sum of the trajectory's shaped rewards."""
-    acc = 0.0
+def shaped_return(trajectories, spec: ConstrainedRewardSpec) -> np.ndarray:
+    """Discounted sum of each trajectory's shaped rewards, shape (B,)."""
+    shaped = shaping.shape_rewards(TrajectoryBatch.stack(trajectories), spec)
+    acc = np.zeros(len(shaped))
     scale = 1.0
-    for r in shaping.shape_rewards(traj, spec):
-        acc += scale * r
+    for t in range(shaped.shape[1]):
+        # past a row's length the reward is 0 and the sum keeps its bits
+        acc = acc + scale * shaped[:, t]
         scale *= spec.discount
     return acc
 
 
 def objective_value(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float:
     """Expected discounted shaped return: shaped_return weighted by leaf
-    probabilities."""
-    total = 0.0
-    for traj, p in enumerate_trajectories(mdp, student, teacher, spec):
-        total += p * shaped_return(traj, spec)
-    return total
+    probabilities, summed in leaf order."""
+    trajs, probs = zip(*enumerate_trajectories(mdp, student, teacher, spec))
+    return sum((p * v for p, v in zip(probs,
+                                      shaped_return(trajs, spec).tolist())),
+               0.0)
 
 
 def finite_difference_gradient(fn, policy, step: float = FD_STEP) -> np.ndarray:
@@ -219,9 +244,8 @@ def boundary_margin(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float
     Large margins mean the feasibility indicator set is stable under small
     parameter perturbations.
     """
-    margin = np.inf
-    for traj, _ in enumerate_trajectories(mdp, student, teacher, spec):
-        for remaining in shaping.remaining_budget(traj.costs, spec.budget):
-            margin = min(margin, abs(remaining - spec.boundary_tol),
-                         abs(remaining))
-    return float(margin)
+    batch = TrajectoryBatch.stack(
+        t for t, _ in enumerate_trajectories(mdp, student, teacher, spec))
+    remaining = shaping.remaining_budget(batch.costs, spec.budget)[batch.live]
+    return float(np.minimum(np.abs(remaining - spec.boundary_tol),
+                            np.abs(remaining)).min(initial=np.inf))

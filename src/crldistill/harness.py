@@ -210,10 +210,14 @@ def check_seeds(seeds) -> list[int]:
 @contextlib.contextmanager
 def _atomic_file(path: str, mode: str = "w"):
     """A temp file in `path`'s directory, renamed over `path` on success and
-    removed on failure, so `path` never holds a partial write."""
+    removed on failure, so `path` never holds a partial write. Its mode is
+    open()'s 0666 less the umask (mkstemp would leave 0600)."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, mode) as fh:
             yield fh
         os.replace(tmp, path)

@@ -7,6 +7,10 @@ import numpy as np
 
 DEFAULT_FLOOR = 1e-8
 
+# Index that selects every row: `action_probs(ALL_STATES)` is the whole
+# (num_states, vocab_size) table, computed by the same per-row code.
+ALL_STATES = slice(None)
+
 
 def floor_distribution(p: np.ndarray, floor: float) -> np.ndarray:
     """Mix a uniform floor into a distribution, staying exactly on the simplex."""
@@ -37,14 +41,15 @@ class SoftmaxPolicy:
     def vocab_size(self) -> int:
         return self.logits.shape[1]
 
-    def raw_probs(self, state: int) -> np.ndarray:
-        """Unfloored softmax of the logit row."""
+    def raw_probs(self, state) -> np.ndarray:
+        """Unfloored softmax of the logit row `state` (or of every row, for
+        `ALL_STATES`)."""
         row = self.logits[state]
-        z = row - row.max()
+        z = row - row.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        return e / e.sum()
+        return e / e.sum(axis=-1, keepdims=True)
 
-    def action_probs(self, state: int) -> np.ndarray:
+    def action_probs(self, state) -> np.ndarray:
         return floor_distribution(self.raw_probs(state), self.floor)
 
     def copy(self) -> "SoftmaxPolicy":
@@ -90,7 +95,7 @@ class TeacherPolicy:
     def vocab_size(self) -> int:
         return self.probs.shape[1]
 
-    def action_probs(self, state: int) -> np.ndarray:
+    def action_probs(self, state) -> np.ndarray:
         return self.probs[state]
 
 

@@ -3,10 +3,13 @@
 # relaxation, and the distillation-only variants.
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import divergence as dv
-from .env import Trajectory
+from .env import Trajectory, TrajectoryBatch
 
 UNAUGMENTED = "unaugmented"
 SAUTE = "saute"
@@ -56,22 +59,40 @@ class ConstrainedRewardSpec:
         return replace(self, mode=mode, **kw)
 
 
-def remaining_budget(costs, budget: float) -> list[float]:
+def remaining_budget(costs, budget: float):
     """Budget left before each step: `budget` minus the costs of the earlier
     steps, subtracted one at a time. A step is feasible while its entry is
-    >= 0; this is the Saute state rebuilt from history."""
-    out = []
-    remaining = budget
-    for c in costs:
-        if c < 0:
-            raise ValueError("costs must be nonnegative")
-        out.append(remaining)
-        remaining -= c
-    return out
+    >= 0; this is the Saute state rebuilt from history.
+
+    `costs` is one trajectory's list (a list comes back) or a (B, T) array
+    (an array comes back, one column per step).
+    """
+    c = np.asarray(costs, dtype=np.float64)
+    if (c < 0).any():
+        raise ValueError("costs must be nonnegative")
+    # accumulate runs left to right: budget, budget - c0, (budget - c0) - c1
+    steps = np.concatenate([np.full(c.shape[:-1] + (1,), budget), c], axis=-1)
+    out = np.subtract.accumulate(steps, axis=-1)[..., :-1]
+    return out if c.ndim > 1 else out.tolist()
 
 
-def unaug_reward(traj: Trajectory, spec: ConstrainedRewardSpec,
-                 include_divergence_penalty: bool = True) -> list[float]:
+def _per_trajectory(fn):
+    """Let a shaping function of a `TrajectoryBatch` take one `Trajectory`:
+    it is shaped as a one-row batch and the row comes back as a list."""
+
+    @functools.wraps(fn)
+    def shaped(trajectories, *args, **kwargs):
+        if isinstance(trajectories, Trajectory):
+            return fn(TrajectoryBatch.stack([trajectories]), *args,
+                      **kwargs)[0].tolist()
+        return fn(trajectories, *args, **kwargs)
+
+    return shaped
+
+
+@_per_trajectory
+def unaug_reward(batch: TrajectoryBatch, spec: ConstrainedRewardSpec,
+                 include_divergence_penalty: bool = True):
     """Constrained reward reconstructed from history, no augmented state.
 
     Step T pays the task reward while the cost of steps 0..T-1 fits the
@@ -79,55 +100,53 @@ def unaug_reward(traj: Trajectory, spec: ConstrainedRewardSpec,
     `include_divergence_penalty=False` drops the divergence term, for parity
     checks against the state-augmented reference.
     """
-    out = []
-    for r, p, remaining in zip(traj.task_rewards, traj.penalty_divergences,
-                               remaining_budget(traj.costs, spec.budget)):
-        if remaining >= 0.0:
-            out.append(r)
-        elif include_divergence_penalty:
-            out.append(-(spec.penalty + p))
-        else:
-            out.append(-spec.penalty)
-    return out
+    keep = (remaining_budget(batch.costs, spec.budget) >= 0.0) | ~batch.live
+    if include_divergence_penalty:
+        return np.where(keep, batch.rewards, -(spec.penalty + batch.penalties))
+    return np.where(keep, batch.rewards, -spec.penalty)
 
 
-def saute_reward(traj: Trajectory, spec: ConstrainedRewardSpec) -> list[float]:
+@_per_trajectory
+def saute_reward(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
     """State-augmented reference: carry the remaining budget explicitly."""
-    z = spec.budget
-    out = []
-    for r, c in zip(traj.task_rewards, traj.costs):
-        out.append(r if z >= 0.0 else -spec.penalty)
-        z -= c
+    out = batch.rewards.copy()
+    z = np.full(len(batch), spec.budget)
+    for t in range(out.shape[1]):
+        out[~(z >= 0.0) & batch.live[:, t], t] = -spec.penalty
+        z = z - batch.costs[:, t]
     return out
 
 
-def lagrangian_step_reward(traj: Trajectory,
-                           spec: ConstrainedRewardSpec) -> list[float]:
+@_per_trajectory
+def lagrangian_step_reward(batch: TrajectoryBatch,
+                           spec: ConstrainedRewardSpec):
     """Fixed-weight relaxation: task reward minus weighted per-state cost."""
-    w = spec.lagrange_weight
-    return [r - w * c for r, c in zip(traj.task_rewards, traj.costs)]
+    return batch.rewards - spec.lagrange_weight * batch.costs
 
 
-def shape_rewards(traj: Trajectory, spec: ConstrainedRewardSpec) -> list[float]:
-    """Per-step shaped rewards for the spec's mode."""
+@_per_trajectory
+def shape_rewards(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
+    """Per-step shaped rewards for the spec's mode, 0 past each row's
+    length."""
     if spec.mode == UNAUGMENTED:
-        return unaug_reward(traj, spec)
+        return unaug_reward(batch, spec)
     if spec.mode == SAUTE:
-        return saute_reward(traj, spec)
+        return saute_reward(batch, spec)
     if spec.mode == LAGRANGIAN:
-        return lagrangian_step_reward(traj, spec)
+        return lagrangian_step_reward(batch, spec)
     if spec.mode == REWARD_ONLY:
-        return list(traj.task_rewards)
+        return batch.rewards
     if spec.mode in (KL_ONLY, KL_LONG_HORIZON):
-        return [-c for c in traj.costs]
+        return -batch.costs
     raise ValueError(f"unknown mode {spec.mode!r}")
 
 
-def boundary_flags(traj: Trajectory, spec: ConstrainedRewardSpec) -> list[bool]:
+@_per_trajectory
+def boundary_flags(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
     """Steps whose remaining budget (before the step's own cost) is within
     the boundary tolerance or already exhausted."""
-    return [remaining <= spec.boundary_tol
-            for remaining in remaining_budget(traj.costs, spec.budget)]
+    return (remaining_budget(batch.costs, spec.budget) <= spec.boundary_tol) \
+        & batch.live
 
 
 def term_ii_rule(spec: ConstrainedRewardSpec):

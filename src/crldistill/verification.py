@@ -9,11 +9,11 @@ import numpy as np
 from . import divergence as dv
 from . import env as env_mod
 from . import shaping
-from .env import TokenMdp
+from .env import TokenMdp, TrajectoryBatch
 from .evaluation import evaluate_policy
 from .gradients import shaped_return
-from .policies import (SoftmaxPolicy, TeacherPolicy, floor_distribution,
-                       teacher_copy)
+from .policies import (ALL_STATES, SoftmaxPolicy, TeacherPolicy,
+                       floor_distribution, teacher_copy)
 from .shaping import ConstrainedRewardSpec
 
 EQUIVALENCE_TOL = 1e-12
@@ -71,11 +71,12 @@ def check_return_equivalence(instances: int = 100, seed: int = 0,
         mdp, student, teacher = random_instance(rng)
         budget = float(rng.uniform(0.05, 1.5))
         spec = ConstrainedRewardSpec(budget=budget, mode=shaping.UNAUGMENTED)
-        for traj, _ in env_mod.enumerate_trajectories(mdp, student, teacher, spec):
-            a = shaping.unaug_reward(traj, spec, include_divergence_penalty=False)
-            b = shaping.saute_reward(traj, spec)
-            for x, y in zip(a, b):
-                worst = max(worst, abs(x - y))
+        batch = TrajectoryBatch.stack(
+            t for t, _ in env_mod.enumerate_trajectories(mdp, student,
+                                                         teacher, spec))
+        a = shaping.unaug_reward(batch, spec, include_divergence_penalty=False)
+        b = shaping.saute_reward(batch, spec)
+        worst = max(worst, float(np.abs(a - b).max(initial=0.0)))
     return TheoremReport("return_equivalence", instances, worst,
                          worst <= tol, seed)
 
@@ -98,17 +99,17 @@ def check_monotone_in_n(mdp, teacher, policies: list[SoftmaxPolicy],
     worst_tail = 0.0
     masses = []
     for policy in policies:
-        pairs = env_mod.enumerate_trajectories(mdp, policy, teacher, base)
-        values = []
-        for spec_n in scaled:
-            value = 0.0
-            for traj, p in pairs:
-                value += p * shaped_return(traj, spec_n)
-            values.append(value)
-        mass = 0.0
-        for traj, p in pairs:
-            if _penalized(traj, base.budget):
-                mass += p
+        trajs, probs = zip(*env_mod.enumerate_trajectories(mdp, policy,
+                                                           teacher, base))
+        batch = TrajectoryBatch.stack(trajs)
+        # leaf-order sums, as a scalar running total adds them
+        values = [sum((p * v for p, v in zip(
+            probs, shaped_return(batch, spec_n).tolist())), 0.0)
+            for spec_n in scaled]
+        # penalized: some step acts with the budget already exhausted
+        feasible = shaping.remaining_budget(batch.costs, base.budget) >= 0.0
+        penalized = (batch.live & ~feasible).any(axis=1).tolist()
+        mass = sum((p for p, hit in zip(probs, penalized) if hit), 0.0)
         masses.append(mass)
         for lo, hi in zip(values, values[1:]):
             worst_increase = max(worst_increase, hi - lo)
@@ -120,14 +121,6 @@ def check_monotone_in_n(mdp, teacher, policies: list[SoftmaxPolicy],
                          {"worst_increase": worst_increase,
                           "worst_tail_gap": worst_tail, "n_grid": list(grid),
                           "penalized_mass": masses})
-
-
-def _penalized(traj, budget: float) -> bool:
-    """Whether some step acts with the budget already exhausted, where the
-    un-augmented reward is the penalty."""
-    return not all(remaining >= 0.0
-                   for remaining in shaping.remaining_budget(traj.costs,
-                                                             budget))
 
 
 def check_constraint_satisfaction(mdp, student, teacher,
@@ -145,14 +138,10 @@ def check_constraint_satisfaction(mdp, student, teacher,
 def _feasible_deterministic_path(mdp, teacher, spec, floor) -> bool:
     """DFS for a deterministic policy whose single trajectory fits the budget."""
     v = mdp.vocab_size
-    det_cost = np.empty((mdp.num_states, v))
-    for s in range(mdp.num_states):
-        mu = teacher.action_probs(s)
-        for a in range(v):
-            row = np.zeros(v)
-            row[a] = 1.0
-            det_cost[s, a] = dv._divergence(floor_distribution(row, floor),
-                                            mu, spec.cost_kind)
+    # det_cost[s, a]: the cost at s of the floored one-hot row of token a
+    det_cost = dv.divergence(floor_distribution(np.eye(v), floor),
+                             teacher.action_probs(ALL_STATES)[:, None],
+                             spec.cost_kind)
 
     seen = set()
 
@@ -214,6 +203,7 @@ def check_bellman_residual(mdp, student, teacher,
     """Bellman optimality on the un-augmented model with costs frozen at the
     given policy: the backward-induction fixed point has zero residual."""
     _, costs, pens = env_mod.state_tables(mdp, student, teacher, spec)
+    costs, pens = costs.tolist(), pens.tolist()
 
     cache: dict = {}
 

@@ -262,7 +262,8 @@ def test_state_tables_reuse_cost_only_when_kinds_agree(penalty_kind):
     states = range(mdp.num_states)
     np.testing.assert_array_equal(
         probs, [student.action_probs(s) for s in states])
-    assert cost == [per_state_cost(student, teacher, s) for s in states]
-    assert pen == [per_state_cost(student, teacher, s, penalty_kind)
-                   for s in states]
+    assert cost.tolist() == [per_state_cost(student, teacher, s)
+                             for s in states]
+    assert pen.tolist() == [per_state_cost(student, teacher, s, penalty_kind)
+                            for s in states]
     assert (pen is cost) == (penalty_kind == spec.cost_kind)

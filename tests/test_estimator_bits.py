@@ -1,0 +1,332 @@
+"""The array estimator against the scalar loops it replaced, bit for bit.
+
+The reference functions below are the per-trajectory loops the library used
+before it worked on `TrajectoryBatch` arrays. The array code must reproduce
+their every bit (compared with `tobytes()`, so signed zeros count), which
+holds only while it accumulates in the loops' order.
+"""
+import numpy as np
+import pytest
+
+from crldistill import divergence as dv
+from crldistill import env, gradients, shaping
+from crldistill.env import Trajectory, TrajectoryBatch
+from crldistill.policies import ALL_STATES, SoftmaxPolicy, TeacherPolicy
+from crldistill.shaping import ConstrainedRewardSpec
+from crldistill.verification import random_instance
+
+# ---------------------------------------------------------------------------
+# Reference: the scalar loops
+
+
+def ref_remaining(costs, budget):
+    out, remaining = [], budget
+    for c in costs:
+        out.append(remaining)
+        remaining -= c
+    return out
+
+
+def ref_shape(traj, spec):
+    if spec.mode == shaping.UNAUGMENTED:
+        return [r if rem >= 0.0 else -(spec.penalty + p) for r, p, rem in
+                zip(traj.task_rewards, traj.penalty_divergences,
+                    ref_remaining(traj.costs, spec.budget))]
+    if spec.mode == shaping.SAUTE:
+        z, out = spec.budget, []
+        for r, c in zip(traj.task_rewards, traj.costs):
+            out.append(r if z >= 0.0 else -spec.penalty)
+            z -= c
+        return out
+    if spec.mode == shaping.LAGRANGIAN:
+        return [r - spec.lagrange_weight * c
+                for r, c in zip(traj.task_rewards, traj.costs)]
+    if spec.mode == shaping.REWARD_ONLY:
+        return list(traj.task_rewards)
+    return [-c for c in traj.costs]
+
+
+def ref_flags(traj, spec):
+    return [rem <= spec.boundary_tol
+            for rem in ref_remaining(traj.costs, spec.budget)]
+
+
+def ref_returns_to_go(rewards, discount):
+    g, out = 0.0, [0.0] * len(rewards)
+    for t in range(len(rewards) - 1, -1, -1):
+        g = rewards[t] + discount * g
+        out[t] = g
+    return out
+
+
+def ref_group_baselines(credits, groups):
+    base = [[0.0] * len(c) for c in credits]
+    for members in groups:
+        depth = max(len(credits[i]) for i in members)
+        for t in range(depth):
+            alive = [i for i in members if len(credits[i]) > t]
+            mean = sum(credits[i][t] for i in alive) / len(alive)
+            for i in alive:
+                base[i][t] = mean
+    return base
+
+
+def ref_weights(trajs, weights):
+    if weights is None:
+        return [1.0 / max(len(trajs), 1)] * len(trajs)
+    return list(weights)
+
+
+def ref_term_i(student, trajs, shaped, groups, credit, discount, weights):
+    if credit == gradients.CREDIT_TO_GO:
+        credits = [ref_returns_to_go(r, discount) for r in shaped]
+    else:
+        credits = [list(r) for r in shaped]
+    base = ref_group_baselines(credits, groups) if groups else \
+        [[0.0] * len(c) for c in credits]
+    table = np.zeros_like(student.logits)
+    for traj, cred, bs, w in zip(trajs, credits, base,
+                                 ref_weights(trajs, weights)):
+        for s, a, c, b in zip(traj.states, traj.tokens, cred, bs):
+            adv = (c - b) * w
+            table[s] -= adv * student.action_probs(s)
+            table[s, a] += adv
+    return table
+
+
+def ref_term_ii(student, teacher, trajs, spec, weights):
+    table = np.zeros_like(student.logits)
+    kind, coefficient, mask = shaping.term_ii_rule(spec)
+    if coefficient == 0.0:
+        return table
+    for traj, w in zip(trajs, ref_weights(trajs, weights)):
+        flags = ref_flags(traj, spec) if mask else [True] * len(traj)
+        scale = w * coefficient
+        for s, flagged in zip(traj.states, flags):
+            if flagged:
+                table -= scale * dv.divergence_gradient(student, teacher, s,
+                                                        kind)
+            scale *= spec.discount
+    return table
+
+
+def ref_divergence(p, q, kind):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == dv.REVERSE_KL:
+            terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+            return max(float(terms.sum()), 0.0)
+        m = 0.5 * (p + q)
+        left = np.where(p > 0, p * (np.log(p) - np.log(m)), 0.0)
+        right = np.where(q > 0, q * (np.log(q) - np.log(m)), 0.0)
+        return max(float(0.5 * (left.sum() + right.sum())), 0.0)
+
+
+def ref_gradient_row(student, teacher, s, kind):
+    row = student.logits[s]
+    e = np.exp(row - row.max())
+    q = e / e.sum()
+    p = (q + student.floor) / (1.0 + q.shape[-1] * student.floor) \
+        if student.floor else q
+    mu = teacher.action_probs(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == dv.REVERSE_KL:
+            w = q * (np.log(p) - np.log(mu) + 1.0)
+        else:
+            w = q * (0.5 * (np.log(p) - np.log(0.5 * (p + mu))))
+        return (w - q * w.sum()) / (1.0 + student.vocab_size * student.floor)
+
+
+# ---------------------------------------------------------------------------
+# Cases
+
+SETTINGS = ((1.0, dv.REVERSE_KL), (0.9, dv.JENSEN_SHANNON))
+
+
+def specs(budget):
+    for discount, penalty_kind in SETTINGS:
+        for mode in shaping.MODES:
+            yield ConstrainedRewardSpec(
+                budget=budget, mode=mode, discount=discount,
+                penalty_kind=penalty_kind, lagrange_weight=0.5,
+                boundary_tol=0.05)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def check_estimator(student, teacher, trajs, spec, groups=None,
+                    weights=None):
+    shaped = [ref_shape(t, spec) for t in trajs]
+    credit = gradients._credit_mode(spec)
+    term_i = ref_term_i(student, trajs, shaped, groups, credit,
+                        spec.discount, weights)
+    term_ii = ref_term_ii(student, teacher, trajs, spec, weights)
+    kw = {"baseline": gradients.BASELINE_GROUP, "groups": groups} \
+        if groups else {}
+    est = gradients.total_gradient(student, teacher, trajs, spec,
+                                   weights=weights, **kw)
+    assert_same_bits(est.term_i, term_i)
+    assert_same_bits(est.term_ii, term_ii)
+    assert_same_bits(est.table, term_i + term_ii)
+    return est
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_estimator_matches_scalar_loops(chunk):
+    # 10 instances per chunk x 2 settings x 6 modes x {sampled without
+    # baseline, sampled with unequal groups, exact leaf weights}
+    rng = np.random.default_rng([chunk, 41])
+    fired = truncated = last_step = 0
+    for _ in range(10):
+        mdp, student, teacher = random_instance(rng)
+        budget = float(rng.uniform(0.05, 1.0))
+        for spec in specs(budget):
+            stream = np.random.default_rng(rng.integers(2**32))
+            trajs = [env.rollout(mdp, student, teacher, spec, stream)
+                     for _ in range(10)]
+            truncated += sum(t.truncated for t in trajs)
+            last_step += sum(t.terminated and len(t) == mdp.horizon_cap
+                             for t in trajs)
+            check_estimator(student, teacher, trajs, spec)
+            check_estimator(student, teacher, trajs, spec,
+                            groups=[[0, 1], [2, 3, 4, 5, 6], [7, 8, 9]])
+            leaves, probs = zip(*env.enumerate_trajectories(
+                mdp, student, teacher, spec))
+            est = check_estimator(student, teacher, list(leaves), spec,
+                                  weights=probs)
+            fired += bool(est.term_ii.any())
+    assert fired and truncated and last_step
+
+
+def test_estimator_edge_batches():
+    mdp = env.chain_with_distractors(decision_states=2, horizon_cap=4)
+    teacher = env.tension_teacher(mdp)
+    student = SoftmaxPolicy(np.random.default_rng(5).normal(
+        size=(mdp.num_states, mdp.vocab_size)))
+    for spec in specs(0.2):
+        # an empty batch gives zero tables
+        est = check_estimator(student, teacher, [], spec)
+        assert not est.table.any()
+        # rows of every length, one group of 2 and one of 3
+        uniforms = np.random.default_rng(9).random((5, mdp.horizon_cap))
+        batch = env.rollout_batch(mdp, student, teacher, spec, uniforms)
+        check_estimator(student, teacher, list(batch), spec,
+                        groups=[[0, 1], [2, 3, 4]])
+        assert_same_bits(
+            gradients.total_gradient(student, teacher, batch, spec).table,
+            gradients.total_gradient(student, teacher, list(batch),
+                                     spec).table)
+
+
+def test_shaping_matches_scalar_loops():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        mdp, student, teacher = random_instance(rng)
+        for spec in specs(float(rng.uniform(0.05, 1.0))):
+            trajs = [t for t, _ in env.enumerate_trajectories(
+                mdp, student, teacher, spec)]
+            batch = TrajectoryBatch.stack(trajs)
+            shaped = shaping.shape_rewards(batch, spec)
+            flags = shaping.boundary_flags(batch, spec)
+            for k, traj in enumerate(trajs):
+                n = len(traj)
+                assert shaped[k, :n].tolist() == ref_shape(traj, spec)
+                assert not shaped[k, n:].any()
+                assert flags[k, :n].tolist() == ref_flags(traj, spec)
+                assert not flags[k, n:].any()
+                assert shaping.shape_rewards(traj, spec) == \
+                    ref_shape(traj, spec)
+            for discount in (1.0, 0.9):
+                togo = gradients._returns_to_go(shaped, discount)
+                for k, traj in enumerate(trajs):
+                    assert togo[k, :len(traj)].tolist() == ref_returns_to_go(
+                        ref_shape(traj, spec), discount)
+
+
+def test_batch_rows_are_the_trajectories():
+    trajs = [Trajectory([0, 2, 1], [1, 0, 2], [0.0, 0.0, 1.0],
+                        [0.1, 0.0, 0.3], [0.2, 0.0, 0.4], True),
+             Trajectory([0], [2], [0.0], [0.5], [0.5], False)]
+    batch = TrajectoryBatch.stack(trajs)
+    assert len(batch) == 2 and list(batch) == trajs and batch[1] == trajs[1]
+    assert batch.states.tolist() == [[0, 2, 1], [0, 0, 0]]
+    assert batch.costs.tolist() == [[0.1, 0.0, 0.3], [0.5, 0.0, 0.0]]
+    assert batch.live.tolist() == [[True] * 3, [True, False, False]]
+    assert TrajectoryBatch.stack(batch) is batch
+    assert len(TrajectoryBatch.stack([])) == 0
+
+
+def test_accumulation_keeps_the_loop_order():
+    # one state visited by four rows whose advantages sum differently in
+    # other orders: 1e16 + 3 and 1e16 + 1 round
+    student = SoftmaxPolicy.uniform(1, 2, floor=0.0)
+    advs = (1e16, 3.0, -1e16, 1.0)
+    trajs = [Trajectory([0], [0], [r], [0.0], [0.0], True) for r in advs]
+    shaped = [[r] for r in advs]
+    weights = [1.0] * 4
+    want = ref_term_i(student, trajs, shaped, None, gradients.CREDIT_STEP,
+                      1.0, weights)
+    got = gradients.likelihood_ratio_term(
+        student, TrajectoryBatch.stack(trajs), shaped,
+        credit=gradients.CREDIT_STEP, weights=weights)
+    assert_same_bits(got, want)
+    # the case has teeth: the reversed order, and the probability parts and
+    # token parts summed apart and then added (two bincounts), differ
+    reversed_order = ref_term_i(student, trajs[::-1], shaped[::-1], None,
+                                gradients.CREDIT_STEP, 1.0, weights)
+    assert reversed_order.tobytes() != want.tobytes()
+    probs_part, token_part = np.zeros((1, 2)), np.zeros((1, 2))
+    for adv in advs:
+        probs_part[0] -= adv * student.action_probs(0)
+        token_part[0, 0] += adv
+    assert (probs_part + token_part).tobytes() != want.tobytes()
+
+
+def test_group_sums_keep_the_member_order():
+    # ten members of one group: a pairwise sum (numpy's for 8 or more
+    # terms) gives 8 where the running sum gives 1
+    student = SoftmaxPolicy.uniform(1, 2, floor=0.0)
+    rewards = [1e16] + [1.0] * 7 + [-1e16, 1.0]
+    trajs = [Trajectory([0], [k % 2], [r], [0.0], [0.0], True)
+             for k, r in enumerate(rewards)]
+    groups = [list(range(10))]
+    base = gradients._group_baselines(np.array([[r] for r in rewards]),
+                                      groups, np.ones(10, dtype=np.int64))
+    assert base[0, 0] == 1.0 / 10
+    check_estimator(student, None, trajs,
+                    ConstrainedRewardSpec(mode=shaping.REWARD_ONLY),
+                    groups=groups)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-8, 1e-3])
+def test_whole_table_equals_per_state(floor):
+    # vocab above 8 takes numpy's unrolled pairwise-sum path
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        n, v = int(rng.integers(2, 7)), int(rng.integers(2, 13))
+        student = SoftmaxPolicy(rng.normal(scale=rng.choice([1.0, 40.0]),
+                                           size=(n, v)), floor=floor)
+        teacher = TeacherPolicy(rng.dirichlet(np.full(v, 0.3), size=n))
+        mdp = env.TokenMdp(n, v, np.zeros((n, v), dtype=np.int64), 0,
+                           frozenset({n - 1}), 2)
+        for cost_kind, penalty_kind in ((dv.REVERSE_KL, dv.JENSEN_SHANNON),
+                                        (dv.JENSEN_SHANNON, dv.REVERSE_KL)):
+            spec = ConstrainedRewardSpec(cost_kind=cost_kind,
+                                         penalty_kind=penalty_kind)
+            probs, cost, pen = env.state_tables(mdp, student, teacher, spec)
+            for s in range(n):
+                p = student.action_probs(s)
+                assert probs[s].tobytes() == p.tobytes()
+                mu = teacher.action_probs(s)
+                assert cost[s] == ref_divergence(p, mu, cost_kind)
+                assert pen[s] == ref_divergence(p, mu, penalty_kind)
+            for kind in dv.KINDS:
+                table = dv.divergence_gradient(student, teacher, ALL_STATES,
+                                               kind)
+                for s in range(n):
+                    row = dv.divergence_gradient(student, teacher, s, kind)
+                    assert table[s].tobytes() == row[s].tobytes()
+                    assert table[s].tobytes() == ref_gradient_row(
+                        student, teacher, s, kind).tobytes()

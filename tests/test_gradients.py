@@ -23,8 +23,10 @@ def small_instance(seed=0):
 
 
 def test_returns_to_go():
-    assert gradients._returns_to_go([1.0, 2.0, 3.0], 1.0) == [6.0, 5.0, 3.0]
-    assert gradients._returns_to_go([1.0, 2.0], 0.5) == [2.0, 2.0]
+    assert gradients._returns_to_go([[1.0, 2.0, 3.0]], 1.0).tolist() == \
+        [[6.0, 5.0, 3.0]]
+    assert gradients._returns_to_go([[1.0, 2.0]], 0.5).tolist() == \
+        [[2.0, 2.0]]
 
 
 def test_split_is_consistent():
@@ -195,5 +197,7 @@ def test_boundary_margin_positive_off_boundary():
 def test_credit_modes():
     with pytest.raises(ValueError):
         gradients._credits([[1.0]], 1.0, "uniform")
-    assert gradients._credits([[1.0, 2.0]], 1.0, CREDIT_STEP) == [[1.0, 2.0]]
-    assert gradients._credits([[1.0, 2.0]], 1.0, CREDIT_TO_GO) == [[3.0, 2.0]]
+    assert gradients._credits([[1.0, 2.0]], 1.0, CREDIT_STEP).tolist() == \
+        [[1.0, 2.0]]
+    assert gradients._credits([[1.0, 2.0]], 1.0, CREDIT_TO_GO).tolist() == \
+        [[3.0, 2.0]]

@@ -246,6 +246,24 @@ def test_interrupted_policy_save_leaves_no_file(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path / "runs")) == ["reward-only__seed0.log"]
 
 
+@pytest.mark.parametrize("umask,expected", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_artifact_modes_follow_the_umask(tmp_path, umask, expected):
+    config = ExperimentConfig.from_dict(small_config(
+        methods=[{"mode": "reward-only"}], seeds=[0]))
+    old = os.umask(umask)
+    try:
+        run_experiment(config, output_dir=str(tmp_path))
+        emit_reports(str(tmp_path))
+    finally:
+        os.umask(old)
+    paths = [tmp_path / "metrics.csv", tmp_path / "manifest.json",
+             *sorted((tmp_path / "runs").iterdir())]
+    assert len(paths) == 5
+    assert {p.name: p.stat().st_mode & 0o777 for p in paths} == \
+        {p.name: expected for p in paths}
+
+
 def test_theorem_reports_roundtrip(tmp_path):
     reports = [TheoremReport("demo", 3, 1e-13, True, 0,
                              {"note": [1, 2]})]
