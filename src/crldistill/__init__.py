@@ -11,8 +11,8 @@ from .divergence import (JENSEN_SHANNON, REVERSE_KL, divergence_gradient,
                          kl_score_gradient, max_cost_bound, per_state_cost)
 from .env import (EnumerationCapExceeded, TokenMdp, Trajectory,
                   TrajectoryBatch, chain, chain_with_distractors,
-                  enumerate_trajectories, load_task, rollout, rollout_batch,
-                  save_task, step, tension_teacher)
+                  enumerate_batch, enumerate_trajectories, load_task,
+                  rollout, rollout_batch, save_task, step, tension_teacher)
 from .evaluation import EvalResult, evaluate_policy
 from .gradients import (GradientEstimate, exact_gradient,
                         explicit_dependence_term, finite_difference_gradient,

@@ -77,6 +77,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.instances < 1:
+        print(f"error: --instances must be positive, got {args.instances}",
+              file=sys.stderr)
+        return EXIT_USAGE
     reports = [
         verification.equivalence_battery(args.instances, args.seed),
         verification.monotonicity_battery(max(args.instances // 5, 1),

@@ -209,6 +209,20 @@ def state_tables(mdp, student, teacher, spec):
     return probs, cost, pen
 
 
+def _lookup_batch(mdp, states, tokens, lengths, terminated, cost, pen):
+    """The batch of the given steps (0 past each row's length), with task
+    rewards from the states entered and costs and penalties from the
+    per-state tables of `state_tables`."""
+    live = np.arange(states.shape[1]) < lengths[:, None]
+    reward_of = np.array([mdp.reward_at(s) for s in range(mdp.num_states)],
+                         dtype=float)
+    rewards = np.where(live, reward_of[mdp.transition[states, tokens]], 0.0)
+    costs = np.where(live, cost[states], 0.0)
+    pens = costs if pen is cost else np.where(live, pen[states], 0.0)
+    return TrajectoryBatch(states, tokens, lengths, rewards, costs, pens,
+                           terminated)
+
+
 def rollout_batch(mdp, student, teacher, spec,
                   uniforms: np.ndarray) -> TrajectoryBatch:
     """Sample one episode per row of `uniforms`, shape (B, horizon_cap).
@@ -223,22 +237,17 @@ def rollout_batch(mdp, student, teacher, spec,
     u = np.asarray(uniforms, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != mdp.horizon_cap:
         raise ValueError("uniforms must have shape (batch, horizon_cap)")
-    n = mdp.num_states
     probs, cost, pen = state_tables(mdp, student, teacher, spec)
     cum = np.cumsum(probs, axis=1)
-    terminal = np.zeros(n, dtype=bool)
-    terminal[list(mdp.terminal_states)] = True
-    reward_of = np.array([mdp.reward_at(s) for s in range(n)], dtype=float)
+    terminal = np.array([mdp.is_terminal(s) for s in range(mdp.num_states)])
 
     count = u.shape[0]
     states = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
     tokens = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
-    rewards = np.zeros((count, mdp.horizon_cap))
     lengths = np.zeros(count, dtype=np.int64)
     state = np.full(count, mdp.initial_state, dtype=np.int64)
-    alive = np.ones(count, dtype=bool)
     for t in range(mdp.horizon_cap):
-        rows = np.flatnonzero(alive)
+        rows = np.flatnonzero(~terminal[state])
         if rows.size == 0:
             break
         s = state[rows]
@@ -247,60 +256,84 @@ def rollout_batch(mdp, student, teacher, spec,
         states[rows, t] = s
         tokens[rows, t] = a
         lengths[rows] = t + 1
-        nxt = state[rows] = mdp.transition[s, a]
-        rewards[rows, t] = reward_of[nxt]
-        alive[rows[terminal[nxt]]] = False
+        state[rows] = mdp.transition[s, a]
+    return _lookup_batch(mdp, states, tokens, lengths, terminal[state], cost,
+                         pen)
 
-    live = np.arange(mdp.horizon_cap) < lengths[:, None]
-    costs = np.where(live, cost[states], 0.0)
-    pens = costs if pen is cost else np.where(live, pen[states], 0.0)
-    return TrajectoryBatch(states, tokens, lengths, rewards, costs, pens,
-                           terminal[state])
+
+def enumerate_batch(mdp, student, teacher, spec,
+                    leaf_cap: int = ENUMERATION_LEAF_CAP):
+    """Every trajectory of the student, as a batch in lexicographic token
+    order, and its exact probability, shape (B,).
+
+    The tree grows one depth at a time: each running row becomes one row per
+    token, in token order, and each finished row is carried as itself, so
+    the rows keep the order of a depth-first walk. A leaf's probability is
+    the product of its action probabilities taken left to right, and the
+    probabilities sum to one. The batch is as wide as its longest row.
+
+    Raises EnumerationCapExceeded exactly when the tree has more than
+    `leaf_cap` leaves. Each depth's row count is checked before that depth
+    is built; no depth has more rows than the tree has leaves, and the last
+    has one row per leaf.
+    """
+    probs, cost, pen = state_tables(mdp, student, teacher, spec)
+    terminal = np.array([mdp.is_terminal(s) for s in range(mdp.num_states)])
+    v, width = mdp.vocab_size, mdp.horizon_cap
+    states = np.zeros((1, width), dtype=np.int64)
+    tokens = np.zeros((1, width), dtype=np.int64)
+    lengths = np.zeros(1, dtype=np.int64)
+    state = np.array([mdp.initial_state], dtype=np.int64)
+    prob = np.ones(1)
+    for t in range(width):
+        done = terminal[state]
+        if done.all():
+            break
+        count = np.where(done, 1, v)
+        if count.sum() > leaf_cap:
+            raise EnumerationCapExceeded(
+                f"enumeration exceeds cap of {leaf_cap} leaves")
+        states, tokens, lengths, state, prob = (
+            np.repeat(x, count, axis=0)
+            for x in (states, tokens, lengths, state, prob))
+        rows = np.flatnonzero(~terminal[state])
+        s = state[rows]
+        a = np.tile(np.arange(v), len(rows) // v)
+        states[rows, t] = s
+        tokens[rows, t] = a
+        lengths[rows] = t + 1
+        prob[rows] = prob[rows] * probs[s, a]
+        state[rows] = mdp.transition[s, a]
+    cut = lengths.max()
+    return _lookup_batch(mdp, states[:, :cut], tokens[:, :cut], lengths,
+                         terminal[state], cost, pen), prob
+
+
+def discounted_sum(steps: np.ndarray, discount: float) -> np.ndarray:
+    """Each row of a (B, T) step array summed with weights discount ** t,
+    one column at a time from the left. Entries past a row's length must be
+    0; they leave the sum's bits unchanged."""
+    acc = np.zeros(len(steps))
+    scale = 1.0
+    for t in range(steps.shape[1]):
+        acc = acc + scale * steps[:, t]
+        scale *= discount
+    return acc
+
+
+def weighted_sum(weights, values) -> float:
+    """sum_k weights[k] * values[k], added in row order from 0.0 as a
+    running scalar total adds them (accumulate runs left to right, unlike
+    np.sum's pairwise order)."""
+    terms = np.concatenate(([0.0], np.multiply(weights, values)))
+    return float(np.add.accumulate(terms)[-1])
 
 
 def enumerate_trajectories(mdp, student, teacher, spec,
                            leaf_cap: int = ENUMERATION_LEAF_CAP):
-    """All trajectories with their exact probabilities under the student.
-
-    Probabilities sum to one (the tree is exhaustive). Raises
-    EnumerationCapExceeded when vocab_size ** horizon_cap paths could exceed
-    `leaf_cap`.
-    """
-    probs, cost, pen = state_tables(mdp, student, teacher, spec)
-    cost, pen = cost.tolist(), pen.tolist()
-    results: list[tuple[Trajectory, float]] = []
-    budget = [leaf_cap]
-
-    def leaf(ss, aa, rr, terminated, prob):
-        budget[0] -= 1
-        results.append((Trajectory(list(ss), list(aa), list(rr),
-                                   [cost[s] for s in ss],
-                                   [pen[s] for s in ss], terminated), prob))
-
-    def walk(state, depth, prob, ss, aa, rr):
-        if budget[0] <= 0:
-            raise EnumerationCapExceeded(
-                f"enumeration exceeds cap of {leaf_cap} leaves")
-        if depth == mdp.horizon_cap:
-            leaf(ss, aa, rr, False, prob)
-            return
-        row = probs[state]
-        for a in range(mdp.vocab_size):
-            pa = prob * row[a]
-            nxt, r, done = step(mdp, state, a)
-            ss.append(state)
-            aa.append(a)
-            rr.append(r)
-            if done:
-                leaf(ss, aa, rr, True, pa)
-            else:
-                walk(nxt, depth + 1, pa, ss, aa, rr)
-            ss.pop()
-            aa.pop()
-            rr.pop()
-
-    walk(mdp.initial_state, 0, 1.0, [], [], [])
-    return results
+    """`enumerate_batch` as a list of (`Trajectory`, probability) pairs."""
+    batch, probs = enumerate_batch(mdp, student, teacher, spec, leaf_cap)
+    return list(zip(batch, probs.tolist()))
 
 
 # ---------------------------------------------------------------------------

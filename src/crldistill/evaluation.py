@@ -27,32 +27,29 @@ def evaluate_policy(mdp: TokenMdp, student, teacher,
                     samples: int = EVAL_SAMPLE_COUNT) -> EvalResult:
     """Success, mean divergence and constraint satisfaction of a policy.
 
-    Uses exhaustive enumeration whenever tractable; otherwise falls back to
-    sampling with a dedicated evaluation stream.
+    Uses exhaustive enumeration whenever tractable, weighting each leaf by
+    its probability; otherwise falls back to sampling with a dedicated
+    evaluation stream, weighting each sample by 1/samples.
     """
     try:
-        pairs = env_mod.enumerate_trajectories(mdp, student, teacher, spec)
+        batch, weights = env_mod.enumerate_batch(mdp, student, teacher, spec)
     except EnumerationCapExceeded:
         if eval_seed is None:
             raise
         rng = np.random.default_rng([eval_seed, 982_451_653])
-        trajs = env_mod.rollout_batch(mdp, student, teacher, spec,
+        batch = env_mod.rollout_batch(mdp, student, teacher, spec,
                                       rng.random((samples, mdp.horizon_cap)))
-        pairs = [(t, 1.0 / samples) for t in trajs]
+        weights = np.full(samples, 1.0 / samples)
         exact = False
     else:
         exact = True
 
-    success = 0.0
-    mean_kl = 0.0
-    violation = 0.0
-    for traj, p in pairs:
-        success += p * traj.total_task_reward
-        cost = traj.total_cost
-        mean_kl += p * cost
-        if cost > spec.budget:
-            violation += p
-    return EvalResult(_probability(success), float(mean_kl),
+    success = env_mod.weighted_sum(
+        weights, env_mod.discounted_sum(batch.rewards, 1.0))
+    cost = env_mod.discounted_sum(batch.costs, 1.0)
+    mean_kl = env_mod.weighted_sum(weights, cost)
+    violation = env_mod.weighted_sum(weights, cost > spec.budget)
+    return EvalResult(_probability(success), mean_kl,
                       _probability(1.0 - violation), _probability(violation),
                       exact)
 

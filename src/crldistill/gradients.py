@@ -9,7 +9,8 @@ import numpy as np
 
 from . import divergence as dv
 from . import shaping
-from .env import TrajectoryBatch, enumerate_trajectories
+from .env import (TrajectoryBatch, discounted_sum, enumerate_batch,
+                  weighted_sum)
 from .policies import ALL_STATES
 from .shaping import ConstrainedRewardSpec
 
@@ -108,7 +109,7 @@ def _accumulate(shape, states: np.ndarray, minus: np.ndarray,
     return table.reshape(shape)
 
 
-def likelihood_ratio_term(student, trajectories, shaped,
+def likelihood_ratio_term(student, batch: TrajectoryBatch, shaped,
                           baseline: str = BASELINE_NONE,
                           groups: list[list[int]] | None = None,
                           credit: str = CREDIT_TO_GO,
@@ -116,12 +117,10 @@ def likelihood_ratio_term(student, trajectories, shaped,
                           weights: Sequence[float] | None = None) -> np.ndarray:
     """Weighted sum over trajectories of sum_t grad log pi(a_t|s_t) * advantage_t.
 
-    `trajectories` is a `TrajectoryBatch` (or a list, stacked into one) and
-    `shaped` its (B, T) shaped rewards, 0 past each row's length. The
-    default weights 1/B give the sampled mean; leaf probabilities give the
-    exact expectation.
+    `shaped` holds the batch's (B, T) shaped rewards, 0 past each row's
+    length. The default weights 1/B give the sampled mean; leaf
+    probabilities give the exact expectation.
     """
-    batch = TrajectoryBatch.stack(trajectories)
     credits = _credits(shaped, discount, credit)
     if baseline == BASELINE_GROUP:
         if groups is None:
@@ -140,7 +139,7 @@ def likelihood_ratio_term(student, trajectories, shaped,
                        batch.tokens[batch.live])
 
 
-def explicit_dependence_term(student, teacher, trajectories,
+def explicit_dependence_term(student, teacher, batch: TrajectoryBatch,
                              spec: ConstrainedRewardSpec,
                              weights: Sequence[float] | None = None) -> np.ndarray:
     """Minus the weighted, discounted divergence gradient on the steps whose
@@ -149,7 +148,6 @@ def explicit_dependence_term(student, teacher, trajectories,
     kind, coefficient, mask = shaping.term_ii_rule(spec)
     if coefficient == 0.0:
         return np.zeros_like(student.logits)
-    batch = TrajectoryBatch.stack(trajectories)
     flags = mask(batch, spec) if mask else batch.live
     # weight * coefficient, times the discount once per step, left to right
     factors = np.full((len(batch), batch.states.shape[1] + 1), spec.discount)
@@ -172,7 +170,8 @@ def total_gradient(student, teacher, trajectories,
                    weights: Sequence[float] | None = None) -> GradientEstimate:
     """Full ascent direction for the spec's mode: the mean over a sampled
     batch, or the expectation when `weights` are the trajectories'
-    probabilities. `trajectories` is a `TrajectoryBatch` or a list."""
+    probabilities. `trajectories` is a `TrajectoryBatch`, or a list of
+    scalar `env.rollout` results, stacked into one."""
     batch = TrajectoryBatch.stack(trajectories)
     shaped = shaping.shape_rewards(batch, spec)
     term_i = likelihood_ratio_term(student, batch, shaped,
@@ -192,8 +191,8 @@ def exact_gradient(mdp, student, teacher,
     The feasibility indicator set is held fixed, matching the piecewise
     treatment used by the sampled estimator.
     """
-    trajs, p = zip(*enumerate_trajectories(mdp, student, teacher, spec))
-    return total_gradient(student, teacher, list(trajs), spec, weights=p)
+    batch, probs = enumerate_batch(mdp, student, teacher, spec)
+    return total_gradient(student, teacher, batch, spec, weights=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +201,17 @@ def exact_gradient(mdp, student, teacher,
 FD_STEP = 1e-5
 
 
-def shaped_return(trajectories, spec: ConstrainedRewardSpec) -> np.ndarray:
-    """Discounted sum of each trajectory's shaped rewards, shape (B,)."""
-    shaped = shaping.shape_rewards(TrajectoryBatch.stack(trajectories), spec)
-    acc = np.zeros(len(shaped))
-    scale = 1.0
-    for t in range(shaped.shape[1]):
-        # past a row's length the reward is 0 and the sum keeps its bits
-        acc = acc + scale * shaped[:, t]
-        scale *= spec.discount
-    return acc
+def shaped_return(batch: TrajectoryBatch,
+                  spec: ConstrainedRewardSpec) -> np.ndarray:
+    """Discounted sum of each row's shaped rewards, shape (B,)."""
+    return discounted_sum(shaping.shape_rewards(batch, spec), spec.discount)
 
 
 def objective_value(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float:
     """Expected discounted shaped return: shaped_return weighted by leaf
     probabilities, summed in leaf order."""
-    trajs, probs = zip(*enumerate_trajectories(mdp, student, teacher, spec))
-    return sum((p * v for p, v in zip(probs,
-                                      shaped_return(trajs, spec).tolist())),
-               0.0)
+    batch, probs = enumerate_batch(mdp, student, teacher, spec)
+    return weighted_sum(probs, shaped_return(batch, spec))
 
 
 def finite_difference_gradient(fn, policy, step: float = FD_STEP) -> np.ndarray:
@@ -244,8 +235,7 @@ def boundary_margin(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float
     Large margins mean the feasibility indicator set is stable under small
     parameter perturbations.
     """
-    batch = TrajectoryBatch.stack(
-        t for t, _ in enumerate_trajectories(mdp, student, teacher, spec))
+    batch, _ = enumerate_batch(mdp, student, teacher, spec)
     remaining = shaping.remaining_budget(batch.costs, spec.budget)[batch.live]
     return float(np.minimum(np.abs(remaining - spec.boundary_tol),
                             np.abs(remaining)).min(initial=np.inf))

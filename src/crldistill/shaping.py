@@ -3,13 +3,12 @@
 # relaxation, and the distillation-only variants.
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import divergence as dv
-from .env import Trajectory, TrajectoryBatch
+from .env import TrajectoryBatch
 
 UNAUGMENTED = "unaugmented"
 SAUTE = "saute"
@@ -59,38 +58,21 @@ class ConstrainedRewardSpec:
         return replace(self, mode=mode, **kw)
 
 
-def remaining_budget(costs, budget: float):
+def remaining_budget(costs: np.ndarray, budget: float) -> np.ndarray:
     """Budget left before each step: `budget` minus the costs of the earlier
     steps, subtracted one at a time. A step is feasible while its entry is
     >= 0; this is the Saute state rebuilt from history.
 
-    `costs` is one trajectory's list (a list comes back) or a (B, T) array
-    (an array comes back, one column per step).
+    `costs` is a (B, T) array; the result has the same shape.
     """
     c = np.asarray(costs, dtype=np.float64)
     if (c < 0).any():
         raise ValueError("costs must be nonnegative")
     # accumulate runs left to right: budget, budget - c0, (budget - c0) - c1
-    steps = np.concatenate([np.full(c.shape[:-1] + (1,), budget), c], axis=-1)
-    out = np.subtract.accumulate(steps, axis=-1)[..., :-1]
-    return out if c.ndim > 1 else out.tolist()
+    steps = np.concatenate([np.full((len(c), 1), budget), c], axis=1)
+    return np.subtract.accumulate(steps, axis=1)[:, :-1]
 
 
-def _per_trajectory(fn):
-    """Let a shaping function of a `TrajectoryBatch` take one `Trajectory`:
-    it is shaped as a one-row batch and the row comes back as a list."""
-
-    @functools.wraps(fn)
-    def shaped(trajectories, *args, **kwargs):
-        if isinstance(trajectories, Trajectory):
-            return fn(TrajectoryBatch.stack([trajectories]), *args,
-                      **kwargs)[0].tolist()
-        return fn(trajectories, *args, **kwargs)
-
-    return shaped
-
-
-@_per_trajectory
 def unaug_reward(batch: TrajectoryBatch, spec: ConstrainedRewardSpec,
                  include_divergence_penalty: bool = True):
     """Constrained reward reconstructed from history, no augmented state.
@@ -106,7 +88,6 @@ def unaug_reward(batch: TrajectoryBatch, spec: ConstrainedRewardSpec,
     return np.where(keep, batch.rewards, -spec.penalty)
 
 
-@_per_trajectory
 def saute_reward(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
     """State-augmented reference: carry the remaining budget explicitly."""
     out = batch.rewards.copy()
@@ -117,14 +98,12 @@ def saute_reward(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
     return out
 
 
-@_per_trajectory
 def lagrangian_step_reward(batch: TrajectoryBatch,
                            spec: ConstrainedRewardSpec):
     """Fixed-weight relaxation: task reward minus weighted per-state cost."""
     return batch.rewards - spec.lagrange_weight * batch.costs
 
 
-@_per_trajectory
 def shape_rewards(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
     """Per-step shaped rewards for the spec's mode, 0 past each row's
     length."""
@@ -141,7 +120,6 @@ def shape_rewards(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
     raise ValueError(f"unknown mode {spec.mode!r}")
 
 
-@_per_trajectory
 def boundary_flags(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
     """Steps whose remaining budget (before the step's own cost) is within
     the boundary tolerance or already exhausted."""
@@ -153,7 +131,7 @@ def term_ii_rule(spec: ConstrainedRewardSpec):
     """The divergence that the mode's shaped reward contains, as
     (kind, coefficient, flags): term ii of the gradient is minus coefficient
     times the discounted gradient of the `kind` divergence on the steps where
-    `flags(traj, spec)` holds, or on every step when flags is None.
+    `flags(batch, spec)` holds, or on every step when flags is None.
 
     un-augmented: the penalty divergence on boundary or violated steps (the
     band [0, boundary_tol] included, although its reward carries no

@@ -9,7 +9,7 @@ import numpy as np
 from . import divergence as dv
 from . import env as env_mod
 from . import shaping
-from .env import TokenMdp, TrajectoryBatch
+from .env import TokenMdp, weighted_sum
 from .evaluation import evaluate_policy
 from .gradients import shaped_return
 from .policies import (ALL_STATES, SoftmaxPolicy, TeacherPolicy,
@@ -71,9 +71,7 @@ def check_return_equivalence(instances: int = 100, seed: int = 0,
         mdp, student, teacher = random_instance(rng)
         budget = float(rng.uniform(0.05, 1.5))
         spec = ConstrainedRewardSpec(budget=budget, mode=shaping.UNAUGMENTED)
-        batch = TrajectoryBatch.stack(
-            t for t, _ in env_mod.enumerate_trajectories(mdp, student,
-                                                         teacher, spec))
+        batch, _ = env_mod.enumerate_batch(mdp, student, teacher, spec)
         a = shaping.unaug_reward(batch, spec, include_divergence_penalty=False)
         b = shaping.saute_reward(batch, spec)
         worst = max(worst, float(np.abs(a - b).max(initial=0.0)))
@@ -99,17 +97,12 @@ def check_monotone_in_n(mdp, teacher, policies: list[SoftmaxPolicy],
     worst_tail = 0.0
     masses = []
     for policy in policies:
-        trajs, probs = zip(*env_mod.enumerate_trajectories(mdp, policy,
-                                                           teacher, base))
-        batch = TrajectoryBatch.stack(trajs)
-        # leaf-order sums, as a scalar running total adds them
-        values = [sum((p * v for p, v in zip(
-            probs, shaped_return(batch, spec_n).tolist())), 0.0)
-            for spec_n in scaled]
+        batch, probs = env_mod.enumerate_batch(mdp, policy, teacher, base)
+        values = [weighted_sum(probs, shaped_return(batch, spec_n))
+                  for spec_n in scaled]
         # penalized: some step acts with the budget already exhausted
         feasible = shaping.remaining_budget(batch.costs, base.budget) >= 0.0
-        penalized = (batch.live & ~feasible).any(axis=1).tolist()
-        mass = sum((p for p, hit in zip(probs, penalized) if hit), 0.0)
+        mass = weighted_sum(probs, (batch.live & ~feasible).any(axis=1))
         masses.append(mass)
         for lo, hi in zip(values, values[1:]):
             worst_increase = max(worst_increase, hi - lo)

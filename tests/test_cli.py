@@ -121,6 +121,14 @@ def test_verify_quick_batteries(tmp_path, capsys):
     assert (tmp_path / "theorems.jsonl").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_non_positive_instances(tmp_path, capsys, count):
+    out = tmp_path / "theorems"
+    assert_usage_error_before_writing(
+        ["verify", "--instances", count, "--skip-training", "--out",
+         str(out)], out, capsys)
+
+
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_USAGE, EXIT_RUN_FAILURE,
                 EXIT_VERIFICATION_FAILURE}) == 4

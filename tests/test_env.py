@@ -6,6 +6,7 @@ from crldistill.divergence import JENSEN_SHANNON, REVERSE_KL
 from crldistill.env import EnumerationCapExceeded, TokenMdp
 from crldistill.policies import SoftmaxPolicy, TeacherPolicy
 from crldistill.shaping import ConstrainedRewardSpec
+from crldistill.verification import random_instance
 
 
 def uniform_pair(mdp):
@@ -210,6 +211,29 @@ def test_enumeration_cap_raises():
     with pytest.raises(EnumerationCapExceeded):
         env.enumerate_trajectories(mdp, student, teacher,
                                    ConstrainedRewardSpec(), leaf_cap=100)
+
+
+def test_enumeration_cap_counts_every_leaf():
+    # every token from the root terminates: three leaves of one step
+    mdp = TokenMdp(2, 3, np.ones((2, 3), dtype=np.int64), 0, frozenset({1}),
+                   4)
+    student, teacher = uniform_pair(mdp)
+    spec = ConstrainedRewardSpec()
+    with pytest.raises(EnumerationCapExceeded):
+        env.enumerate_trajectories(mdp, student, teacher, spec, leaf_cap=2)
+    assert len(env.enumerate_trajectories(mdp, student, teacher, spec,
+                                          leaf_cap=3)) == 3
+    # the cap raises exactly when the tree has more leaves than it allows
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        mdp, student, teacher = random_instance(rng)
+        leaves = len(env.enumerate_batch(mdp, student, teacher, spec)[0])
+        batch, _ = env.enumerate_batch(mdp, student, teacher, spec,
+                                       leaf_cap=leaves)
+        assert len(batch) == leaves
+        with pytest.raises(EnumerationCapExceeded):
+            env.enumerate_trajectories(mdp, student, teacher, spec,
+                                       leaf_cap=leaves - 1)
 
 
 def test_tension_teacher_rows():

@@ -110,6 +110,41 @@ def ref_term_ii(student, teacher, trajs, spec, weights):
     return table
 
 
+def ref_enumerate(mdp, student, teacher, spec):
+    """The recursive depth-first walk: (Trajectory, probability) leaves in
+    lexicographic token order."""
+    probs, cost, pen = env.state_tables(mdp, student, teacher, spec)
+    cost, pen = cost.tolist(), pen.tolist()
+    results = []
+
+    def leaf(ss, aa, rr, terminated, prob):
+        results.append((Trajectory(list(ss), list(aa), list(rr),
+                                   [cost[s] for s in ss],
+                                   [pen[s] for s in ss], terminated), prob))
+
+    def walk(state, depth, prob, ss, aa, rr):
+        if depth == mdp.horizon_cap:
+            leaf(ss, aa, rr, False, prob)
+            return
+        row = probs[state]
+        for a in range(mdp.vocab_size):
+            pa = prob * row[a]
+            nxt, r, done = env.step(mdp, state, a)
+            ss.append(state)
+            aa.append(a)
+            rr.append(r)
+            if done:
+                leaf(ss, aa, rr, True, pa)
+            else:
+                walk(nxt, depth + 1, pa, ss, aa, rr)
+            ss.pop()
+            aa.pop()
+            rr.pop()
+
+    walk(mdp.initial_state, 0, 1.0, [], [], [])
+    return results
+
+
 def ref_divergence(p, q, kind):
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == dv.REVERSE_KL:
@@ -236,13 +271,45 @@ def test_shaping_matches_scalar_loops():
                 assert not shaped[k, n:].any()
                 assert flags[k, :n].tolist() == ref_flags(traj, spec)
                 assert not flags[k, n:].any()
-                assert shaping.shape_rewards(traj, spec) == \
+                assert shaping.shape_rewards(TrajectoryBatch.stack([traj]),
+                                             spec)[0].tolist() == \
                     ref_shape(traj, spec)
             for discount in (1.0, 0.9):
                 togo = gradients._returns_to_go(shaped, discount)
                 for k, traj in enumerate(trajs):
                     assert togo[k, :len(traj)].tolist() == ref_returns_to_go(
                         ref_shape(traj, spec), discount)
+
+
+def check_enumeration(mdp, student, teacher, spec):
+    trajs, probs = zip(*ref_enumerate(mdp, student, teacher, spec))
+    want = TrajectoryBatch.stack(trajs)
+    batch, got = env.enumerate_batch(mdp, student, teacher, spec)
+    for name in ("states", "tokens", "lengths", "rewards", "costs",
+                 "penalties", "terminated"):
+        assert_same_bits(getattr(batch, name), getattr(want, name))
+    assert_same_bits(got, np.array(probs))
+    return batch
+
+
+def test_enumeration_matches_the_recursive_walk():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        mdp, student, teacher = random_instance(rng)
+        budget = float(rng.uniform(0.05, 1.0))
+        for discount, penalty_kind in SETTINGS:
+            check_enumeration(mdp, student, teacher, ConstrainedRewardSpec(
+                budget=budget, discount=discount, penalty_kind=penalty_kind))
+    # a tree with rows cut at horizon_cap and leaves at several depths
+    mdp = env.chain_with_distractors(decision_states=3, horizon_cap=3)
+    student = SoftmaxPolicy(np.random.default_rng(5).normal(
+        size=(mdp.num_states, mdp.vocab_size)))
+    for discount, penalty_kind in SETTINGS:
+        batch = check_enumeration(
+            mdp, student, env.tension_teacher(mdp), ConstrainedRewardSpec(
+                discount=discount, penalty_kind=penalty_kind))
+        assert not batch.terminated.all()
+        assert len(set(batch.lengths[batch.terminated].tolist())) > 1
 
 
 def test_batch_rows_are_the_trajectories():

@@ -80,7 +80,7 @@ def test_sampled_fallback_when_enumeration_exceeds_cap(monkeypatch):
     def too_big(*args, **kwargs):
         raise env.EnumerationCapExceeded("forced")
 
-    monkeypatch.setattr(env, "enumerate_trajectories", too_big)
+    monkeypatch.setattr(env, "enumerate_batch", too_big)
     with pytest.raises(env.EnumerationCapExceeded):
         evaluate_policy(mdp, student, teacher, spec)
     result = evaluate_policy(mdp, student, teacher, spec, eval_seed=0,

@@ -3,7 +3,7 @@ import pytest
 
 from crldistill import divergence as dv
 from crldistill import env, gradients, shaping
-from crldistill.env import Trajectory
+from crldistill.env import Trajectory, TrajectoryBatch
 from crldistill.gradients import (BASELINE_GROUP, BASELINE_NONE,
                                   CREDIT_STEP, CREDIT_TO_GO, FD_STEP,
                                   boundary_margin, exact_gradient,
@@ -48,9 +48,9 @@ def test_group_baseline_zeroes_identical_returns():
     spec = ConstrainedRewardSpec(mode=shaping.REWARD_ONLY)
     traj = Trajectory([0, 2], [0, 0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0],
                       True)
-    trajs = [traj, traj, traj]
-    shaped = [shaping.shape_rewards(t, spec) for t in trajs]
-    term = likelihood_ratio_term(student, trajs, shaped,
+    batch = TrajectoryBatch.stack([traj, traj, traj])
+    shaped = shaping.shape_rewards(batch, spec)
+    term = likelihood_ratio_term(student, batch, shaped,
                                  baseline=BASELINE_GROUP, groups=[[0, 1, 2]])
     np.testing.assert_allclose(term, 0.0, atol=1e-15)
 
@@ -59,15 +59,16 @@ def test_group_baseline_requires_groups():
     mdp, student, teacher = small_instance()
     spec = ConstrainedRewardSpec()
     traj = env.rollout(mdp, student, teacher, spec, np.random.default_rng(0))
-    shaped = [shaping.shape_rewards(traj, spec)]
+    batch = TrajectoryBatch.stack([traj])
+    shaped = shaping.shape_rewards(batch, spec)
     with pytest.raises(ValueError):
-        likelihood_ratio_term(student, [traj], shaped,
+        likelihood_ratio_term(student, batch, shaped,
                               baseline=BASELINE_GROUP, groups=None)
     with pytest.raises(ValueError):
-        likelihood_ratio_term(student, [traj], shaped,
+        likelihood_ratio_term(student, batch, shaped,
                               baseline=BASELINE_GROUP, groups=[[0]])
     with pytest.raises(ValueError):
-        likelihood_ratio_term(student, [traj], shaped, baseline="median")
+        likelihood_ratio_term(student, batch, shaped, baseline="median")
 
 
 def test_sampled_estimate_approaches_exact():
@@ -107,7 +108,8 @@ def test_exact_gradient_matches_finite_differences(mode, kw):
     def shaped_value(policy):
         total = 0.0
         for traj, p in env.enumerate_trajectories(mdp, policy, teacher, spec):
-            shaped = shaping.shape_rewards(traj, spec)
+            shaped = shaping.shape_rewards(TrajectoryBatch.stack([traj]),
+                                           spec)[0].tolist()
             total += p * sum(shaped)
         return total
 
