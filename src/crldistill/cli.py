@@ -81,6 +81,11 @@ def _cmd_verify(args) -> int:
         print(f"error: --instances must be positive, got {args.instances}",
               file=sys.stderr)
         return EXIT_USAGE
+    try:
+        harness.check_seeds([args.seed])
+    except harness.ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     reports = [
         verification.equivalence_battery(args.instances, args.seed),
         verification.monotonicity_battery(max(args.instances // 5, 1),

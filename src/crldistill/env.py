@@ -2,6 +2,7 @@
 # binary terminal reward, episodic rollout and exhaustive enumeration.
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -103,7 +104,8 @@ class TrajectoryBatch:
     Row k holds trajectory k's first `lengths[k]` steps: acting states,
     tokens, task rewards, costs and penalty divergences (see `Trajectory`).
     Past a row's length every entry is 0. Indexing (and so iteration) gives
-    `Trajectory` objects.
+    `Trajectory` objects. `ledgers` keeps the budget ledgers that `shaping`
+    builds for the batch, one per budget, as `live` is kept.
     """
 
     states: np.ndarray  # (B, T) int
@@ -113,6 +115,7 @@ class TrajectoryBatch:
     costs: np.ndarray  # (B, T) float
     penalties: np.ndarray  # (B, T) float
     terminated: np.ndarray  # (B,) bool
+    ledgers: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def live(self) -> np.ndarray:
@@ -167,31 +170,33 @@ def step(mdp: TokenMdp, state: int, token: int) -> tuple[int, float, bool]:
 def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory:
     """Sample one episode under the student, recording teacher divergences.
 
-    Costs at each visited state are computed against the teacher with the
-    divergence kinds named in `spec`. Draws one `rng.random()` per step; this
-    scalar path is the reference that `rollout_batch` reproduces.
+    Reads the per-state tables of `state_tables` once per call and steps in
+    plain Python with `rollout_batch`'s token rule: the number of cumulative
+    probabilities <= u, clipped to vocab_size - 1. Draws exactly one
+    `rng.random()` per step, so it samples the episode that `rollout_batch`
+    samples from a row of the same draws, and leaves the stream just past
+    the episode's last step.
     """
-    states, tokens, rewards, costs, pens = [], [], [], [], []
+    probs, cost, pen = state_tables(mdp, student, teacher, spec)
+    cum = probs.cumsum(axis=1).tolist()
+    cost, pen = cost.tolist(), pen.tolist()
+    successor = mdp.transition.tolist()
+    last = mdp.vocab_size - 1
+    states, tokens, rewards = [], [], []
     s = mdp.initial_state
     terminated = False
     for _ in range(mdp.horizon_cap):
-        p = student.action_probs(s)
-        a = min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")),
-                mdp.vocab_size - 1)
-        nxt, r, done = step(mdp, s, a)
+        # cum[s] never decreases, so bisect_right counts its entries <= u
+        a = min(bisect.bisect_right(cum[s], rng.random()), last)
         states.append(s)
         tokens.append(a)
-        rewards.append(r)
-        mu = teacher.action_probs(s)
-        cost = float(dv.divergence(p, mu, spec.cost_kind))
-        costs.append(cost)
-        pens.append(cost if spec.penalty_kind == spec.cost_kind
-                    else float(dv.divergence(p, mu, spec.penalty_kind)))
-        s = nxt
-        if done:
+        s = successor[s][a]
+        rewards.append(mdp.reward_at(s))
+        if mdp.is_terminal(s):
             terminated = True
             break
-    return Trajectory(states, tokens, rewards, costs, pens, terminated)
+    return Trajectory(states, tokens, rewards, [cost[s] for s in states],
+                      [pen[s] for s in states], terminated)
 
 
 def state_tables(mdp, student, teacher, spec):

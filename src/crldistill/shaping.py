@@ -73,6 +73,18 @@ def remaining_budget(costs: np.ndarray, budget: float) -> np.ndarray:
     return np.subtract.accumulate(steps, axis=1)[:, :-1]
 
 
+def _ledger(batch: TrajectoryBatch, budget: float) -> np.ndarray:
+    """`remaining_budget` of the batch's costs, built once per batch and
+    budget and kept in `batch.ledgers`, so that the shaped rewards and term
+    ii's flags of one batch share it. Read-only, since callers share it."""
+    ledger = batch.ledgers.get(budget)
+    if ledger is None:
+        ledger = remaining_budget(batch.costs, budget)
+        ledger.flags.writeable = False
+        batch.ledgers[budget] = ledger
+    return ledger
+
+
 def unaug_reward(batch: TrajectoryBatch, spec: ConstrainedRewardSpec,
                  include_divergence_penalty: bool = True):
     """Constrained reward reconstructed from history, no augmented state.
@@ -82,7 +94,7 @@ def unaug_reward(batch: TrajectoryBatch, spec: ConstrainedRewardSpec,
     `include_divergence_penalty=False` drops the divergence term, for parity
     checks against the state-augmented reference.
     """
-    keep = (remaining_budget(batch.costs, spec.budget) >= 0.0) | ~batch.live
+    keep = (_ledger(batch, spec.budget) >= 0.0) | ~batch.live
     if include_divergence_penalty:
         return np.where(keep, batch.rewards, -(spec.penalty + batch.penalties))
     return np.where(keep, batch.rewards, -spec.penalty)
@@ -123,7 +135,7 @@ def shape_rewards(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
 def boundary_flags(batch: TrajectoryBatch, spec: ConstrainedRewardSpec):
     """Steps whose remaining budget (before the step's own cost) is within
     the boundary tolerance or already exhausted."""
-    return (remaining_budget(batch.costs, spec.budget) <= spec.boundary_tol) \
+    return (_ledger(batch, spec.budget) <= spec.boundary_tol) \
         & batch.live
 
 

@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from crldistill import cli, harness
+from crldistill import cli, harness, verification
 from crldistill.cli import (EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE,
                             EXIT_VERIFICATION_FAILURE, main)
 from crldistill.training import TrainingDiverged
@@ -127,6 +127,21 @@ def test_verify_rejects_non_positive_instances(tmp_path, capsys, count):
     assert_usage_error_before_writing(
         ["verify", "--instances", count, "--skip-training", "--out",
          str(out)], out, capsys)
+
+
+@pytest.mark.parametrize("extra", [[], ["--skip-training"]])
+def test_verify_rejects_negative_seed(tmp_path, capsys, monkeypatch, extra):
+    def battery(*args, **kwargs):
+        raise AssertionError("a battery ran")
+
+    for name in ("equivalence_battery", "monotonicity_battery",
+                 "assumptions_battery", "bellman_battery",
+                 "check_violation_trend"):
+        monkeypatch.setattr(verification, name, battery)
+    out = tmp_path / "theorems"
+    assert_usage_error_before_writing(
+        ["verify", "--instances", "1", "--seed", "-1", "--out", str(out)]
+        + extra, out, capsys)
 
 
 def test_exit_codes_are_distinct():

@@ -165,6 +165,22 @@ def test_sampling_rule_on_cumulative_boundaries():
             traj, env.rollout(mdp, student, teacher, spec, _FixedStream(row)))
 
 
+@pytest.mark.parametrize("draws,tokens,terminated", [
+    ([0.9], [2], True),                       # ends on its first step
+    ([0.5, 0.1, 0.1], [1, 0, 0], True),       # loops once, then ends
+    ([0.1, 0.5, 0.1, 0.1], [0, 1, 0, 0], True),  # ends on its last step
+    ([0.5] * 4, [1] * 4, False),              # cut at horizon_cap
+])
+def test_rollout_draws_once_per_step(draws, tokens, terminated):
+    mdp = looping_mdp(horizon_cap=4)
+    student = SoftmaxPolicy.uniform(4, 3, floor=0.0)
+    teacher = TeacherPolicy(np.full((4, 3), 1.0 / 3.0))
+    stream = _FixedStream(draws + [0.0] * mdp.horizon_cap)
+    traj = env.rollout(mdp, student, teacher, ConstrainedRewardSpec(), stream)
+    assert (traj.tokens, traj.terminated) == (tokens, terminated)
+    assert stream.used == len(traj)
+
+
 def test_rollout_batch_checks_uniform_shape():
     mdp = looping_mdp()
     student, teacher = uniform_pair(mdp)

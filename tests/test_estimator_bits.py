@@ -145,6 +145,32 @@ def ref_enumerate(mdp, student, teacher, spec):
     return results
 
 
+def ref_rollout(mdp, student, teacher, spec, rng):
+    """The per-step loop: one softmax row, cumsum, searchsorted and row
+    divergence at every step."""
+    states, tokens, rewards, costs, pens = [], [], [], [], []
+    s = mdp.initial_state
+    terminated = False
+    for _ in range(mdp.horizon_cap):
+        p = student.action_probs(s)
+        a = min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")),
+                mdp.vocab_size - 1)
+        nxt, r, done = env.step(mdp, s, a)
+        states.append(s)
+        tokens.append(a)
+        rewards.append(r)
+        mu = teacher.action_probs(s)
+        cost = float(dv.divergence(p, mu, spec.cost_kind))
+        costs.append(cost)
+        pens.append(cost if spec.penalty_kind == spec.cost_kind
+                    else float(dv.divergence(p, mu, spec.penalty_kind)))
+        s = nxt
+        if done:
+            terminated = True
+            break
+    return Trajectory(states, tokens, rewards, costs, pens, terminated)
+
+
 def ref_divergence(p, q, kind):
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == dv.REVERSE_KL:
@@ -310,6 +336,32 @@ def test_enumeration_matches_the_recursive_walk():
                 discount=discount, penalty_kind=penalty_kind))
         assert not batch.terminated.all()
         assert len(set(batch.lengths[batch.terminated].tolist())) > 1
+
+
+def test_rollout_matches_the_per_step_loop():
+    rng = np.random.default_rng(53)
+    truncated = terminated = 0
+    for _ in range(30):
+        mdp, student, teacher = random_instance(rng)
+        for _, penalty_kind in SETTINGS:
+            spec = ConstrainedRewardSpec(penalty_kind=penalty_kind)
+            key = int(rng.integers(2**32))
+            got_rng = np.random.default_rng(key)
+            want_rng = np.random.default_rng(key)
+            for _ in range(20):
+                got = env.rollout(mdp, student, teacher, spec, got_rng)
+                want = ref_rollout(mdp, student, teacher, spec, want_rng)
+                assert got.states == want.states
+                assert got.tokens == want.tokens
+                for name in ("task_rewards", "costs", "penalty_divergences"):
+                    assert np.array(getattr(got, name)).tobytes() == \
+                        np.array(getattr(want, name)).tobytes()
+                assert got.terminated is want.terminated
+                truncated += got.truncated
+                terminated += got.terminated
+            # both have drawn exactly as many values from the stream
+            assert got_rng.random() == want_rng.random()
+    assert truncated and terminated
 
 
 def test_batch_rows_are_the_trajectories():

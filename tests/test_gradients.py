@@ -71,6 +71,28 @@ def test_group_baseline_requires_groups():
         likelihood_ratio_term(student, batch, shaped, baseline="median")
 
 
+def test_one_budget_ledger_per_unaugmented_batch(monkeypatch):
+    # the shaped rewards and term ii's boundary flags share one ledger
+    mdp, student, teacher = small_instance()
+    spec = ConstrainedRewardSpec(budget=0.2)
+    batch = env.rollout_batch(mdp, student, teacher, spec,
+                              np.random.default_rng(1).random(
+                                  (16, mdp.horizon_cap)))
+    budgets = []
+    ledger = shaping.remaining_budget
+
+    def counted(costs, budget):
+        budgets.append(budget)
+        return ledger(costs, budget)
+
+    monkeypatch.setattr(shaping, "remaining_budget", counted)
+    est = total_gradient(student, teacher, batch, spec)
+    assert budgets == [spec.budget] and est.term_ii.any()
+    # a spec with another budget gets its own ledger
+    total_gradient(student, teacher, batch, ConstrainedRewardSpec(budget=0.3))
+    assert budgets == [0.2, 0.3]
+
+
 def test_sampled_estimate_approaches_exact():
     mdp, student, teacher = small_instance()
     spec = ConstrainedRewardSpec(budget=0.2)
