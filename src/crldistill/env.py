@@ -7,6 +7,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -41,11 +42,13 @@ class TokenMdp:
     def __post_init__(self):
         if self.num_states <= 0 or self.vocab_size <= 0 or self.horizon_cap <= 0:
             raise ValueError("num_states, vocab_size and horizon_cap must be positive")
-        t = np.asarray(self.transition, dtype=np.int64)
+        # a read-only copy, so the cached tree below cannot go stale
+        t = np.array(self.transition, dtype=np.int64)
         if t.shape != (self.num_states, self.vocab_size):
             raise ValueError("transition table must be (num_states, vocab_size)")
         if (t < 0).any() or (t >= self.num_states).any():
             raise ValueError("transition targets out of range")
+        t.flags.writeable = False
         object.__setattr__(self, "transition", t)
         for s in self.terminal_states:
             if not 0 <= s < self.num_states:
@@ -61,6 +64,29 @@ class TokenMdp:
 
     def reward_at(self, state: int) -> float:
         return self.task_reward.get(state, 0.0) if self.is_terminal(state) else 0.0
+
+    @cached_property
+    def leaf_count(self) -> int:
+        """Leaves of the trajectory tree, counted exactly with Python ints
+        per (depth, state) over the transition table, without building it."""
+        terminal = np.array([self.is_terminal(s)
+                             for s in range(self.num_states)])
+        ends = terminal[self.transition]
+        # below[s]: leaves under a running state s at the current depth;
+        # at depth horizon_cap each running row is one leaf
+        below = np.ones(self.num_states, dtype=object)
+        for _ in range(self.horizon_cap):
+            below = np.where(ends, 1, below[self.transition]).sum(axis=1)
+        return int(below[self.initial_state])
+
+    @cached_property
+    def _tree(self) -> "_Steps":
+        """The trajectory tree's policy-free arrays, built once (see
+        `enumerate_batch`) and read-only, since every batch shares them."""
+        tree = _build_tree(self)
+        for a in tree:
+            a.flags.writeable = False
+        return tree
 
 
 @dataclass
@@ -214,18 +240,36 @@ def state_tables(mdp, student, teacher, spec):
     return probs, cost, pen
 
 
-def _lookup_batch(mdp, states, tokens, lengths, terminated, cost, pen):
-    """The batch of the given steps (0 past each row's length), with task
-    rewards from the states entered and costs and penalties from the
-    per-state tables of `state_tables`."""
+class _Steps(NamedTuple):
+    """The policy-free part of a batch: its steps, the `live` mask and the
+    task rewards of the states entered (0 past each row's length)."""
+
+    states: np.ndarray
+    tokens: np.ndarray
+    lengths: np.ndarray
+    terminated: np.ndarray
+    live: np.ndarray
+    rewards: np.ndarray
+
+
+def _task_steps(mdp, states, tokens, lengths, terminated) -> _Steps:
     live = np.arange(states.shape[1]) < lengths[:, None]
     reward_of = np.array([mdp.reward_at(s) for s in range(mdp.num_states)],
                          dtype=float)
     rewards = np.where(live, reward_of[mdp.transition[states, tokens]], 0.0)
-    costs = np.where(live, cost[states], 0.0)
-    pens = costs if pen is cost else np.where(live, pen[states], 0.0)
-    return TrajectoryBatch(states, tokens, lengths, rewards, costs, pens,
-                           terminated)
+    return _Steps(states, tokens, lengths, terminated, live, rewards)
+
+
+def _lookup_batch(steps: _Steps, cost, pen) -> TrajectoryBatch:
+    """The batch of the given steps, with costs and penalties from the
+    per-state tables of `state_tables` (0 past each row's length)."""
+    costs = np.where(steps.live, cost[steps.states], 0.0)
+    pens = costs if pen is cost else np.where(steps.live, pen[steps.states],
+                                              0.0)
+    batch = TrajectoryBatch(steps.states, steps.tokens, steps.lengths,
+                            steps.rewards, costs, pens, steps.terminated)
+    batch.live = steps.live  # fills the cached property
+    return batch
 
 
 def rollout_batch(mdp, student, teacher, spec,
@@ -262,56 +306,70 @@ def rollout_batch(mdp, student, teacher, spec,
         tokens[rows, t] = a
         lengths[rows] = t + 1
         state[rows] = mdp.transition[s, a]
-    return _lookup_batch(mdp, states, tokens, lengths, terminal[state], cost,
-                         pen)
+    return _lookup_batch(_task_steps(mdp, states, tokens, lengths,
+                                     terminal[state]), cost, pen)
 
 
-def enumerate_batch(mdp, student, teacher, spec,
-                    leaf_cap: int = ENUMERATION_LEAF_CAP):
-    """Every trajectory of the student, as a batch in lexicographic token
-    order, and its exact probability, shape (B,).
+def _build_tree(mdp) -> _Steps:
+    """Every trajectory of `mdp` in lexicographic token order.
 
     The tree grows one depth at a time: each running row becomes one row per
     token, in token order, and each finished row is carried as itself, so
-    the rows keep the order of a depth-first walk. A leaf's probability is
-    the product of its action probabilities taken left to right, and the
-    probabilities sum to one. The batch is as wide as its longest row.
-
-    Raises EnumerationCapExceeded exactly when the tree has more than
-    `leaf_cap` leaves. Each depth's row count is checked before that depth
-    is built; no depth has more rows than the tree has leaves, and the last
-    has one row per leaf.
+    the rows keep the order of a depth-first walk. The arrays are as wide as
+    the longest row.
     """
-    probs, cost, pen = state_tables(mdp, student, teacher, spec)
     terminal = np.array([mdp.is_terminal(s) for s in range(mdp.num_states)])
     v, width = mdp.vocab_size, mdp.horizon_cap
     states = np.zeros((1, width), dtype=np.int64)
     tokens = np.zeros((1, width), dtype=np.int64)
     lengths = np.zeros(1, dtype=np.int64)
     state = np.array([mdp.initial_state], dtype=np.int64)
-    prob = np.ones(1)
     for t in range(width):
         done = terminal[state]
         if done.all():
             break
-        count = np.where(done, 1, v)
-        if count.sum() > leaf_cap:
-            raise EnumerationCapExceeded(
-                f"enumeration exceeds cap of {leaf_cap} leaves")
-        states, tokens, lengths, state, prob = (
-            np.repeat(x, count, axis=0)
-            for x in (states, tokens, lengths, state, prob))
+        states, tokens, lengths, state = (
+            np.repeat(x, np.where(done, 1, v), axis=0)
+            for x in (states, tokens, lengths, state))
         rows = np.flatnonzero(~terminal[state])
         s = state[rows]
         a = np.tile(np.arange(v), len(rows) // v)
         states[rows, t] = s
         tokens[rows, t] = a
         lengths[rows] = t + 1
-        prob[rows] = prob[rows] * probs[s, a]
         state[rows] = mdp.transition[s, a]
     cut = lengths.max()
-    return _lookup_batch(mdp, states[:, :cut], tokens[:, :cut], lengths,
-                         terminal[state], cost, pen), prob
+    return _task_steps(mdp, states[:, :cut].copy(),
+                       tokens[:, :cut].copy(), lengths, terminal[state])
+
+
+def enumerate_batch(mdp, student, teacher, spec,
+                    leaf_cap: int = ENUMERATION_LEAF_CAP):
+    """Every trajectory of the student, as a batch in lexicographic token
+    order (the order of a depth-first walk), and its exact probability,
+    shape (B,).
+
+    The transitions are deterministic, so the tree's steps, task rewards and
+    `live` mask depend on the MDP alone: it is built once per MDP, kept on
+    it, and every batch shares its read-only arrays. A call looks up the
+    student's action probabilities, costs and penalties in `state_tables`.
+    A leaf's probability is the product of its action probabilities taken
+    left to right from 1.0, and the probabilities sum to one.
+
+    Raises EnumerationCapExceeded exactly when the tree has more than
+    `leaf_cap` leaves (`TokenMdp.leaf_count`), before building anything.
+    """
+    if mdp.leaf_count > leaf_cap:
+        raise EnumerationCapExceeded(
+            f"enumeration exceeds cap of {leaf_cap} leaves")
+    tree = mdp._tree
+    probs, cost, pen = state_tables(mdp, student, teacher, spec)
+    # x * 1.0 == x, so past a row's length the product keeps its bits
+    factors = np.where(tree.live, probs[tree.states, tree.tokens], 1.0)
+    prob = np.ones(len(factors))
+    for column in factors.T:
+        prob = prob * column
+    return _lookup_batch(tree, cost, pen), prob
 
 
 def discounted_sum(steps: np.ndarray, discount: float) -> np.ndarray:
@@ -338,7 +396,12 @@ def enumerate_trajectories(mdp, student, teacher, spec,
                            leaf_cap: int = ENUMERATION_LEAF_CAP):
     """`enumerate_batch` as a list of (`Trajectory`, probability) pairs."""
     batch, probs = enumerate_batch(mdp, student, teacher, spec, leaf_cap)
-    return list(zip(batch, probs.tolist()))
+    steps = [a.tolist() for a in (batch.states, batch.tokens, batch.rewards,
+                                  batch.costs, batch.penalties)]
+    return [(Trajectory(*(rows[k][:n] for rows in steps), terminated), p)
+            for k, (n, terminated, p) in enumerate(zip(
+                batch.lengths.tolist(), batch.terminated.tolist(),
+                probs.tolist()))]
 
 
 # ---------------------------------------------------------------------------

@@ -129,29 +129,29 @@ def check_constraint_satisfaction(mdp, student, teacher,
 
 
 def _feasible_deterministic_path(mdp, teacher, spec, floor) -> bool:
-    """DFS for a deterministic policy whose single trajectory fits the budget."""
+    """Whether some deterministic policy's single trajectory fits the budget.
+
+    A per-depth pass keeps, for each running state, the least spend of any
+    token path that reaches it; costs are nonnegative and rounding is
+    monotone, so that path's spend, summed left to right, is the least of
+    all, and the least spend at any leaf decides.
+    """
     v = mdp.vocab_size
     # det_cost[s, a]: the cost at s of the floored one-hot row of token a
     det_cost = dv.divergence(floor_distribution(np.eye(v), floor),
                              teacher.action_probs(ALL_STATES)[:, None],
                              spec.cost_kind)
-
-    seen = set()
-
-    def reach(state, depth, spent):
-        if spent > spec.budget:
-            return False
-        if mdp.is_terminal(state) or depth == mdp.horizon_cap:
+    terminal = np.array([mdp.is_terminal(s) for s in range(mdp.num_states)])
+    spent = np.full(mdp.num_states, np.inf)
+    spent[mdp.initial_state] = 0.0
+    for _ in range(mdp.horizon_cap):
+        entered = np.full(mdp.num_states, np.inf)
+        np.minimum.at(entered, mdp.transition, spent[:, None] + det_cost)
+        if (entered[terminal] <= spec.budget).any():
             return True
-        key = (state, depth)
-        if key in seen:
-            return False
-        seen.add(key)
-        return any(reach(int(mdp.transition[state, a]), depth + 1,
-                         spent + det_cost[state, a])
-                   for a in range(v))
-
-    return reach(mdp.initial_state, 0, 0.0)
+        spent = np.where(terminal, np.inf, entered)
+    # rows still running at horizon_cap are cut there
+    return bool((spent <= spec.budget).any())
 
 
 def check_assumptions(mdp, teacher, spec: ConstrainedRewardSpec,
@@ -161,27 +161,29 @@ def check_assumptions(mdp, teacher, spec: ConstrainedRewardSpec,
     parameters, plus a feasible-policy existence certificate."""
     rng = np.random.default_rng([seed, 13])
     bound = dv.max_cost_bound(teacher)
+    mu = teacher.action_probs(ALL_STATES)
     finite = True
     worst = 0.0
     for _ in range(samples):
         student = SoftmaxPolicy(
             rng.normal(scale=3.0, size=(mdp.num_states, mdp.vocab_size)),
             floor=floor)
-        for s in range(mdp.num_states):
-            val = dv.per_state_cost(student, teacher, s, spec.penalty_kind)
-            grad = dv.divergence_gradient(student, teacher, s, spec.penalty_kind)
-            if not (np.isfinite(val) and np.isfinite(grad).all()):
-                finite = False
-                continue
-            worst = max(worst, val)
-            if spec.penalty_kind == dv.REVERSE_KL and val > bound + 1e-9:
-                finite = False
+        grads = dv.divergence_gradient(student, teacher, ALL_STATES,
+                                       spec.penalty_kind)
+        vals = dv.divergence(student.action_probs(ALL_STATES), mu,
+                             spec.penalty_kind)
+        ok = np.isfinite(vals) & np.isfinite(grads).all(axis=1)
+        if not ok.all():
+            finite = False
+        # the running max of the per-state loop: the first of equal values
+        worst = max([worst, *vals[ok].tolist()])
+        if spec.penalty_kind == dv.REVERSE_KL \
+                and (vals[ok] > bound + 1e-9).any():
+            finite = False
 
-    copy_student = teacher_copy(teacher)
-    copy_feasible = all(
-        dv.per_state_cost(copy_student, teacher, s, spec.cost_kind)
-        * mdp.horizon_cap <= spec.budget
-        for s in range(mdp.num_states))
+    copy_costs = dv.divergence(teacher_copy(teacher).action_probs(ALL_STATES),
+                               mu, spec.cost_kind)
+    copy_feasible = bool((copy_costs * mdp.horizon_cap <= spec.budget).all())
     det_feasible = _feasible_deterministic_path(mdp, teacher, spec, floor)
     return TheoremReport("assumptions", samples, worst, finite, seed,
                          {"phi_bound": bound,

@@ -252,6 +252,49 @@ def test_enumeration_cap_counts_every_leaf():
                                        leaf_cap=leaves - 1)
 
 
+def test_tree_is_built_once_per_mdp():
+    mdp = env.chain_with_distractors()
+    teacher = env.tension_teacher(mdp)
+    spec = ConstrainedRewardSpec()
+    rng = np.random.default_rng(5)
+    first, second = (env.enumerate_batch(
+        mdp, SoftmaxPolicy(rng.normal(size=(mdp.num_states, mdp.vocab_size))),
+        teacher, spec)[0] for _ in range(2))
+    assert first.costs.tobytes() != second.costs.tobytes()
+    for name in ("states", "tokens", "lengths"):
+        shared = getattr(first, name)
+        assert shared is getattr(second, name)
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 1
+
+
+def test_transition_is_a_read_only_copy():
+    trans = np.array([[1, 1], [1, 1]], dtype=np.int64)
+    mdp = TokenMdp(2, 2, trans, 0, frozenset({1}), 4)
+    with pytest.raises(ValueError):
+        mdp.transition[0, 0] = 0
+    trans[0, 0] = 0
+    assert mdp.transition[0, 0] == 1
+
+
+def test_enumeration_cap_raises_before_building(monkeypatch):
+    # no terminal is reachable, so every row runs to horizon_cap: 4 ** 10
+    # leaves, counted without building a depth
+    trans = np.zeros((2, 4), dtype=np.int64)
+    mdp = TokenMdp(2, 4, trans, 0, frozenset({1}), 10)
+    student, teacher = uniform_pair(mdp)
+
+    def no_depths(*args, **kwargs):
+        raise AssertionError("a depth of the tree was built")
+
+    monkeypatch.setattr(np, "repeat", no_depths)
+    with pytest.raises(EnumerationCapExceeded):
+        env.enumerate_batch(mdp, student, teacher, ConstrainedRewardSpec(),
+                            leaf_cap=100)
+    assert mdp.leaf_count == 4 ** 10
+
+
 def test_tension_teacher_rows():
     mdp = env.chain_with_distractors()
     teacher = env.tension_teacher(mdp, advance=0.86)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from crldistill import divergence as dv
-from crldistill import env, gradients, shaping
+from crldistill import env, gradients, shaping, verification
 from crldistill.env import Trajectory, TrajectoryBatch
-from crldistill.policies import ALL_STATES, SoftmaxPolicy, TeacherPolicy
+from crldistill.policies import (ALL_STATES, SoftmaxPolicy, TeacherPolicy,
+                                 teacher_copy)
 from crldistill.shaping import ConstrainedRewardSpec
 from crldistill.verification import random_instance
 
@@ -195,6 +196,34 @@ def ref_gradient_row(student, teacher, s, kind):
         else:
             w = q * (0.5 * (np.log(p) - np.log(0.5 * (p + mu))))
         return (w - q * w.sum()) / (1.0 + student.vocab_size * student.floor)
+
+
+def ref_assumptions(mdp, teacher, spec, samples, seed, floor=1e-8):
+    """The per-state loop of `check_assumptions`: (worst penalty, all
+    finite, teacher copy feasible)."""
+    rng = np.random.default_rng([seed, 13])
+    bound = dv.max_cost_bound(teacher)
+    finite, worst = True, 0.0
+    for _ in range(samples):
+        student = SoftmaxPolicy(
+            rng.normal(scale=3.0, size=(mdp.num_states, mdp.vocab_size)),
+            floor=floor)
+        for s in range(mdp.num_states):
+            val = dv.per_state_cost(student, teacher, s, spec.penalty_kind)
+            grad = dv.divergence_gradient(student, teacher, s,
+                                          spec.penalty_kind)
+            if not (np.isfinite(val) and np.isfinite(grad).all()):
+                finite = False
+                continue
+            worst = max(worst, val)
+            if spec.penalty_kind == dv.REVERSE_KL and val > bound + 1e-9:
+                finite = False
+    copy = teacher_copy(teacher)
+    copy_feasible = all(
+        dv.per_state_cost(copy, teacher, s, spec.cost_kind)
+        * mdp.horizon_cap <= spec.budget
+        for s in range(mdp.num_states))
+    return worst, finite, copy_feasible
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +478,32 @@ def test_whole_table_equals_per_state(floor):
                     assert table[s].tobytes() == row[s].tobytes()
                     assert table[s].tobytes() == ref_gradient_row(
                         student, teacher, s, kind).tobytes()
+
+
+def test_assumptions_match_the_per_state_loop():
+    # teachers with zero entries and no floor make the reverse-KL penalty
+    # and its gradient non-finite; a budget of 1e-40 is below the floored
+    # teacher copy's cost
+    rng = np.random.default_rng(59)
+    outcomes = set()
+    for k in range(40):
+        mdp, _, teacher = random_instance(rng)
+        if k % 4 == 3:
+            probs = teacher.probs.copy()
+            probs[probs < 0.15] = 0.0
+            teacher = TeacherPolicy(probs / probs.sum(axis=1, keepdims=True),
+                                    floor=0.0)
+        budget = 1e-40 if k % 5 == 4 else float(rng.uniform(0.05, 1.0))
+        for kind in dv.KINDS:
+            spec = ConstrainedRewardSpec(budget=budget, cost_kind=kind,
+                                         penalty_kind=kind)
+            with np.errstate(divide="ignore"):
+                report = verification.check_assumptions(mdp, teacher, spec,
+                                                        samples=5, seed=k)
+                worst, finite, copy_feasible = ref_assumptions(
+                    mdp, teacher, spec, samples=5, seed=k)
+            assert report.max_deviation.hex() == worst.hex()
+            assert report.passed is finite
+            assert report.details["teacher_copy_feasible"] is copy_feasible
+            outcomes.add((finite, copy_feasible))
+    assert outcomes >= {(True, True), (True, False), (False, True)}

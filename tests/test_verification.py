@@ -4,8 +4,11 @@ import operator
 import numpy as np
 import pytest
 
+from crldistill import divergence as dv
 from crldistill import env, verification
-from crldistill.policies import SoftmaxPolicy, teacher_copy
+from crldistill.env import TokenMdp
+from crldistill.policies import (ALL_STATES, SoftmaxPolicy, TeacherPolicy,
+                                 floor_distribution, teacher_copy)
 from crldistill.shaping import ConstrainedRewardSpec
 from crldistill.verification import (TheoremReport, assumptions_battery,
                                      bellman_battery, check_assumptions,
@@ -89,6 +92,47 @@ def test_assumptions_on_tension_suite():
     # certificate comes from the stochastic teacher copy instead
     assert not report.details["deterministic_certificate"]
     assert report.max_deviation <= report.details["phi_bound"] + 1e-9
+
+
+def deterministic_certificate(mdp, teacher, budget):
+    spec = ConstrainedRewardSpec(budget=budget)
+    return check_assumptions(mdp, teacher, spec, samples=1).details[
+        "deterministic_certificate"]
+
+
+def test_deterministic_certificate_takes_the_cheaper_visit():
+    # both tokens of state 0 enter state 1 at depth 1: token 0 for about
+    # 0.92 (-ln 0.4), token 1 for about 0.51 (-ln 0.6); state 1 then pays
+    # about 0.69 (-ln 0.5) into the goal. Only token 1's path fits 1.3, and
+    # a search that remembers state 1 from token 0's visit misses it.
+    mdp = TokenMdp(3, 2, np.array([[1, 1], [2, 2], [2, 2]]), 0,
+                   frozenset({2}), 2, {2: 1.0})
+    teacher = TeacherPolicy(np.array([[0.4, 0.6], [0.5, 0.5], [0.5, 0.5]]))
+    assert deterministic_certificate(mdp, teacher, 1.3)
+    assert not deterministic_certificate(mdp, teacher, 1.1)
+    assert not deterministic_certificate(mdp, teacher, 0.6)
+
+
+def test_deterministic_certificate_matches_exhaustive_search():
+    # every leaf of the trajectory tree is one deterministic policy's path;
+    # its spend is the floored one-hot costs summed left to right
+    found = set()
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        mdp, student, teacher = random_instance(rng)
+        budget = float(rng.uniform(0.05, 3.0))
+        det_cost = dv.divergence(
+            floor_distribution(np.eye(mdp.vocab_size), 1e-8),
+            teacher.action_probs(ALL_STATES)[:, None], dv.REVERSE_KL)
+        batch, _ = env.enumerate_batch(mdp, student, teacher,
+                                       ConstrainedRewardSpec())
+        spent = env.discounted_sum(
+            np.where(batch.live, det_cost[batch.states, batch.tokens], 0.0),
+            1.0)
+        want = bool((spent <= budget).any())
+        assert deterministic_certificate(mdp, teacher, budget) is want
+        found.add(want)
+    assert found == {True, False}
 
 
 def test_bellman_residual_zero_at_fixed_point():
