@@ -9,9 +9,8 @@ executable checks of the underlying guarantees.
 
 from .divergence import (JENSEN_SHANNON, REVERSE_KL, divergence_gradient,
                          kl_score_gradient, max_cost_bound, per_state_cost)
-from .env import (EnumerationCapExceeded, TokenMdp, Trajectory,
-                  TrajectoryBatch, chain, chain_with_distractors,
-                  enumerate_batch, enumerate_trajectories, load_task,
+from .env import (EnumerationCapExceeded, TokenMdp, TrajectoryBatch, chain,
+                  chain_with_distractors, enumerate_batch, load_task,
                   rollout, rollout_batch, save_task, step, tension_teacher)
 from .evaluation import EvalResult, evaluate_policy
 from .gradients import (GradientEstimate, exact_gradient,

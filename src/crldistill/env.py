@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import bisect
-import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,19 +59,24 @@ class TokenMdp:
         if self.initial_state in self.terminal_states:
             raise ValueError("initial state may not be terminal")
 
-    def is_terminal(self, state: int) -> bool:
-        return state in self.terminal_states
+    @cached_property
+    def terminal(self) -> np.ndarray:
+        """Whether each state is terminal, (num_states,) bool, read-only."""
+        return _read_only(np.isin(np.arange(self.num_states),
+                                  list(self.terminal_states)))
 
-    def reward_at(self, state: int) -> float:
-        return self.task_reward.get(state, 0.0) if self.is_terminal(state) else 0.0
+    @cached_property
+    def reward_of(self) -> np.ndarray:
+        """Task reward on entering each state (0 if running), read-only."""
+        rewards = [self.task_reward.get(s, 0.0)
+                   for s in range(self.num_states)]
+        return _read_only(np.where(self.terminal, rewards, 0.0))
 
     @cached_property
     def leaf_count(self) -> int:
         """Leaves of the trajectory tree, counted exactly with Python ints
         per (depth, state) over the transition table, without building it."""
-        terminal = np.array([self.is_terminal(s)
-                             for s in range(self.num_states)])
-        ends = terminal[self.transition]
+        ends = self.terminal[self.transition]
         # below[s]: leaves under a running state s at the current depth;
         # at depth horizon_cap each running row is one leaf
         below = np.ones(self.num_states, dtype=object)
@@ -83,44 +88,12 @@ class TokenMdp:
     def _tree(self) -> "_Steps":
         """The trajectory tree's policy-free arrays, built once (see
         `enumerate_batch`) and read-only, since every batch shares them."""
-        tree = _build_tree(self)
-        for a in tree:
-            a.flags.writeable = False
-        return tree
+        return _Steps(*map(_read_only, _build_tree(self)))
 
 
-@dataclass
-class Trajectory:
-    """One episode: the acting states, chosen tokens, and per-step quantities.
-
-    `costs[t]` is the budget divergence at the state acted from at step t;
-    `penalty_divergences[t]` is the divergence used inside the infeasibility
-    penalty at the same state. Both are evaluated against the teacher under
-    the student policy that generated the episode.
-    """
-
-    states: list[int]
-    tokens: list[int]
-    task_rewards: list[float]
-    costs: list[float]
-    penalty_divergences: list[float]
-    terminated: bool
-
-    @property
-    def truncated(self) -> bool:
-        """Cut at horizon_cap before reaching a terminal state."""
-        return not self.terminated
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def total_task_reward(self) -> float:
-        return sum(self.task_rewards)
-
-    @property
-    def total_cost(self) -> float:
-        return sum(self.costs)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(eq=False)
@@ -128,10 +101,10 @@ class TrajectoryBatch:
     """B trajectories as padded (B, T) arrays, the form the estimator uses.
 
     Row k holds trajectory k's first `lengths[k]` steps: acting states,
-    tokens, task rewards, costs and penalty divergences (see `Trajectory`).
-    Past a row's length every entry is 0. Indexing (and so iteration) gives
-    `Trajectory` objects. `ledgers` keeps the budget ledgers that `shaping`
-    builds for the batch, one per budget, as `live` is kept.
+    tokens, task rewards of the states entered, and at the acting states the
+    budget cost and the penalty divergence against the teacher under the
+    acting student. Past a row's length every entry is 0. `ledgers` keeps
+    the budget ledgers that `shaping` builds for the batch, one per budget.
     """
 
     states: np.ndarray  # (B, T) int
@@ -151,34 +124,17 @@ class TrajectoryBatch:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, k: int) -> Trajectory:
-        n = int(self.lengths[k])
-        steps = (self.states, self.tokens, self.rewards, self.costs,
-                 self.penalties)
-        return Trajectory(*(a[k, :n].tolist() for a in steps),
-                          bool(self.terminated[k]))
-
     @classmethod
-    def stack(cls, trajectories) -> "TrajectoryBatch":
-        """A batch of the given `Trajectory` objects, in order; a batch is
+    def stack(cls, batches) -> "TrajectoryBatch":
+        """The rows of the given equally wide batches, in order; a batch is
         returned as it is."""
-        if isinstance(trajectories, cls):
-            return trajectories
-        trajs = list(trajectories)
-        lengths = np.array([len(t) for t in trajs], dtype=np.int64)
-        live = np.arange(lengths.max(initial=0)) < lengths[:, None]
-
-        def pad(names, dtype):
-            out = np.zeros((len(names),) + live.shape, dtype)
-            out[:, live] = [[x for t in trajs for x in getattr(t, name)]
-                            for name in names]
-            return out
-
-        states, tokens = pad(("states", "tokens"), np.int64)
-        rewards, costs, pens = pad(
-            ("task_rewards", "costs", "penalty_divergences"), np.float64)
-        return cls(states, tokens, lengths, rewards, costs, pens,
-                   np.array([t.terminated for t in trajs], dtype=bool))
+        if isinstance(batches, cls):
+            return batches
+        batches = list(batches)
+        if len({b.states.shape[1] for b in batches}) != 1:
+            raise ValueError("stack needs one or more equally wide batches")
+        return cls(*(np.concatenate([getattr(b, f.name) for b in batches])
+                     for f in fields(cls) if f.init))
 
 
 def step(mdp: TokenMdp, state: int, token: int) -> tuple[int, float, bool]:
@@ -188,13 +144,13 @@ def step(mdp: TokenMdp, state: int, token: int) -> tuple[int, float, bool]:
     if not 0 <= token < mdp.vocab_size:
         raise ValueError(f"token {token} out of range")
     nxt = int(mdp.transition[state, token])
-    done = mdp.is_terminal(nxt)
-    reward = mdp.reward_at(nxt) if done else 0.0
-    return nxt, reward, done
+    return nxt, float(mdp.reward_of[nxt]), bool(mdp.terminal[nxt])
 
 
-def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory:
-    """Sample one episode under the student, recording teacher divergences.
+def rollout(mdp, student, teacher, spec,
+            rng: np.random.Generator) -> TrajectoryBatch:
+    """Sample one episode under the student, as a one-row batch as wide as
+    a `rollout_batch` row (horizon_cap), recording teacher divergences.
 
     Reads the per-state tables of `state_tables` once per call and steps in
     plain Python with `rollout_batch`'s token rule: the number of cumulative
@@ -207,22 +163,26 @@ def rollout(mdp, student, teacher, spec, rng: np.random.Generator) -> Trajectory
     cum = probs.cumsum(axis=1).tolist()
     cost, pen = cost.tolist(), pen.tolist()
     successor = mdp.transition.tolist()
+    terminal, reward = mdp.terminal.tolist(), mdp.reward_of.tolist()
     last = mdp.vocab_size - 1
     states, tokens, rewards = [], [], []
     s = mdp.initial_state
-    terminated = False
     for _ in range(mdp.horizon_cap):
         # cum[s] never decreases, so bisect_right counts its entries <= u
         a = min(bisect.bisect_right(cum[s], rng.random()), last)
         states.append(s)
         tokens.append(a)
         s = successor[s][a]
-        rewards.append(mdp.reward_at(s))
-        if mdp.is_terminal(s):
-            terminated = True
+        rewards.append(reward[s])
+        if terminal[s]:
             break
-    return Trajectory(states, tokens, rewards, [cost[s] for s in states],
-                      [pen[s] for s in states], terminated)
+    pad = [0] * (mdp.horizon_cap - len(states))
+    ints = np.array([states + pad, tokens + pad], dtype=np.int64)
+    floats = np.array([rewards + pad, [cost[x] for x in states] + pad,
+                       [pen[x] for x in states] + pad], dtype=np.float64)
+    return TrajectoryBatch(ints[:1], ints[1:], np.array([len(states)]),
+                           floats[:1], floats[1:2], floats[2:],
+                           np.array([terminal[s]]))
 
 
 def state_tables(mdp, student, teacher, spec):
@@ -254,9 +214,8 @@ class _Steps(NamedTuple):
 
 def _task_steps(mdp, states, tokens, lengths, terminated) -> _Steps:
     live = np.arange(states.shape[1]) < lengths[:, None]
-    reward_of = np.array([mdp.reward_at(s) for s in range(mdp.num_states)],
-                         dtype=float)
-    rewards = np.where(live, reward_of[mdp.transition[states, tokens]], 0.0)
+    rewards = np.where(live, mdp.reward_of[mdp.transition[states, tokens]],
+                       0.0)
     return _Steps(states, tokens, lengths, terminated, live, rewards)
 
 
@@ -288,7 +247,6 @@ def rollout_batch(mdp, student, teacher, spec,
         raise ValueError("uniforms must have shape (batch, horizon_cap)")
     probs, cost, pen = state_tables(mdp, student, teacher, spec)
     cum = np.cumsum(probs, axis=1)
-    terminal = np.array([mdp.is_terminal(s) for s in range(mdp.num_states)])
 
     count = u.shape[0]
     states = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
@@ -296,7 +254,7 @@ def rollout_batch(mdp, student, teacher, spec,
     lengths = np.zeros(count, dtype=np.int64)
     state = np.full(count, mdp.initial_state, dtype=np.int64)
     for t in range(mdp.horizon_cap):
-        rows = np.flatnonzero(~terminal[state])
+        rows = np.flatnonzero(~mdp.terminal[state])
         if rows.size == 0:
             break
         s = state[rows]
@@ -307,7 +265,7 @@ def rollout_batch(mdp, student, teacher, spec,
         lengths[rows] = t + 1
         state[rows] = mdp.transition[s, a]
     return _lookup_batch(_task_steps(mdp, states, tokens, lengths,
-                                     terminal[state]), cost, pen)
+                                     mdp.terminal[state]), cost, pen)
 
 
 def _build_tree(mdp) -> _Steps:
@@ -318,20 +276,19 @@ def _build_tree(mdp) -> _Steps:
     the rows keep the order of a depth-first walk. The arrays are as wide as
     the longest row.
     """
-    terminal = np.array([mdp.is_terminal(s) for s in range(mdp.num_states)])
     v, width = mdp.vocab_size, mdp.horizon_cap
     states = np.zeros((1, width), dtype=np.int64)
     tokens = np.zeros((1, width), dtype=np.int64)
     lengths = np.zeros(1, dtype=np.int64)
     state = np.array([mdp.initial_state], dtype=np.int64)
     for t in range(width):
-        done = terminal[state]
+        done = mdp.terminal[state]
         if done.all():
             break
         states, tokens, lengths, state = (
             np.repeat(x, np.where(done, 1, v), axis=0)
             for x in (states, tokens, lengths, state))
-        rows = np.flatnonzero(~terminal[state])
+        rows = np.flatnonzero(~mdp.terminal[state])
         s = state[rows]
         a = np.tile(np.arange(v), len(rows) // v)
         states[rows, t] = s
@@ -340,7 +297,7 @@ def _build_tree(mdp) -> _Steps:
         state[rows] = mdp.transition[s, a]
     cut = lengths.max()
     return _task_steps(mdp, states[:, :cut].copy(),
-                       tokens[:, :cut].copy(), lengths, terminal[state])
+                       tokens[:, :cut].copy(), lengths, mdp.terminal[state])
 
 
 def enumerate_batch(mdp, student, teacher, spec,
@@ -392,13 +349,19 @@ def weighted_sum(weights, values) -> float:
     return float(np.add.accumulate(terms)[-1])
 
 
+# one leaf of `enumerate_trajectories`: its row's steps as lists
+_Leaf = namedtuple("_Leaf", "states tokens task_rewards costs "
+                            "penalty_divergences terminated")
+
+
 def enumerate_trajectories(mdp, student, teacher, spec,
                            leaf_cap: int = ENUMERATION_LEAF_CAP):
-    """`enumerate_batch` as a list of (`Trajectory`, probability) pairs."""
+    """`enumerate_batch` as (leaf, probability) pairs, each leaf a row's
+    first `lengths[k]` entries as lists; only the benchmark reads it."""
     batch, probs = enumerate_batch(mdp, student, teacher, spec, leaf_cap)
     steps = [a.tolist() for a in (batch.states, batch.tokens, batch.rewards,
                                   batch.costs, batch.penalties)]
-    return [(Trajectory(*(rows[k][:n] for rows in steps), terminated), p)
+    return [(_Leaf(*(rows[k][:n] for rows in steps), terminated), p)
             for k, (n, terminated, p) in enumerate(zip(
                 batch.lengths.tolist(), batch.terminated.tolist(),
                 probs.tolist()))]
@@ -508,11 +471,17 @@ def load_task(path) -> TokenMdp:
     missing = _TASK_KEYS - set(raw)
     if missing:
         raise ValueError(f"missing task keys: {sorted(missing)}")
+    for name in ("transitions", "terminal_rewards"):
+        if not isinstance(raw[name], dict):
+            raise ValueError(f"{name} must be a mapping")
     n, v = int(raw["num_states"]), int(raw["vocab_size"])
     trans = np.full((n, v), -1, dtype=np.int64)
     for key, nxt in raw["transitions"].items():
-        s_str, a_str = str(key).split()
-        trans[int(s_str), int(a_str)] = int(nxt)
+        m = re.fullmatch(r"\s*(\d+)\s+(\d+)\s*", str(key))
+        if not m or int(m[1]) >= n or int(m[2]) >= v:
+            raise ValueError(f"transition key {key!r} is not 's a' with "
+                             f"0 <= s < {n} and 0 <= a < {v}")
+        trans[int(m[1]), int(m[2])] = int(nxt)
     if (trans < 0).any():
         raise ValueError("transition map must be total over states x tokens")
     rewards = {int(s): float(r) for s, r in raw["terminal_rewards"].items()}

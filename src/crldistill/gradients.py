@@ -171,7 +171,7 @@ def total_gradient(student, teacher, trajectories,
     """Full ascent direction for the spec's mode: the mean over a sampled
     batch, or the expectation when `weights` are the trajectories'
     probabilities. `trajectories` is a `TrajectoryBatch`, or a list of
-    scalar `env.rollout` results, stacked into one."""
+    equally wide ones (such as `env.rollout` results), stacked into one."""
     batch = TrajectoryBatch.stack(trajectories)
     shaped = shaping.shape_rewards(batch, spec)
     term_i = likelihood_ratio_term(student, batch, shaped,

@@ -141,15 +141,14 @@ def _feasible_deterministic_path(mdp, teacher, spec, floor) -> bool:
     det_cost = dv.divergence(floor_distribution(np.eye(v), floor),
                              teacher.action_probs(ALL_STATES)[:, None],
                              spec.cost_kind)
-    terminal = np.array([mdp.is_terminal(s) for s in range(mdp.num_states)])
     spent = np.full(mdp.num_states, np.inf)
     spent[mdp.initial_state] = 0.0
     for _ in range(mdp.horizon_cap):
         entered = np.full(mdp.num_states, np.inf)
         np.minimum.at(entered, mdp.transition, spent[:, None] + det_cost)
-        if (entered[terminal] <= spec.budget).any():
+        if (entered[mdp.terminal] <= spec.budget).any():
             return True
-        spent = np.where(terminal, np.inf, entered)
+        spent = np.where(mdp.terminal, np.inf, entered)
     # rows still running at horizon_cap are cut there
     return bool((spent <= spec.budget).any())
 
@@ -203,7 +202,7 @@ def check_bellman_residual(mdp, student, teacher,
     cache: dict = {}
 
     def value(state, depth, remaining):
-        if mdp.is_terminal(state) or depth == mdp.horizon_cap:
+        if mdp.terminal[state] or depth == mdp.horizon_cap:
             return 0.0
         key = (state, depth, remaining)
         if key in cache:

@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from crldistill import cli, harness, verification
+from crldistill import cli, env, harness, verification
 from crldistill.cli import (EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE,
                             EXIT_VERIFICATION_FAILURE, main)
 from crldistill.training import TrainingDiverged
@@ -77,6 +77,29 @@ def test_bad_config_field_fails_before_writing(tmp_path, capsys, case):
     out = tmp_path / "results"
     config = write_config(tmp_path, output_dir=str(out),
                           **{**ONE_CELL, **BAD_CONFIGS[case]})
+    assert_usage_error_before_writing(["run", str(config)], out, capsys)
+
+
+BAD_TASKS = {
+    "negative state": lambda doc: doc["transitions"].update({"-1 0": 1}),
+    "state out of range": lambda doc: doc["transitions"].update({"5 0": 1}),
+    "token out of range": lambda doc: doc["transitions"].update({"0 7": 1}),
+    "transitions not a mapping": lambda doc: doc.update(transitions=[1, 2]),
+    "terminal rewards not a mapping":
+        lambda doc: doc.update(terminal_rewards=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TASKS))
+def test_bad_task_file_fails_before_writing(tmp_path, capsys, case):
+    task = tmp_path / "task.yaml"
+    env.save_task(env.chain(2, horizon_cap=4), task)
+    doc = yaml.safe_load(task.read_text())
+    BAD_TASKS[case](doc)
+    task.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "results"
+    config = write_config(tmp_path, output_dir=str(out),
+                          **{**ONE_CELL, "task": {"file": str(task)}})
     assert_usage_error_before_writing(["run", str(config)], out, capsys)
 
 

@@ -23,9 +23,13 @@ def test_chain_topology():
     assert mdp.transition[0, 0] == 1
     assert mdp.transition[2, 0] == goal
     assert mdp.transition[1, 1] == sink
-    assert mdp.reward_at(goal) == 1.0
-    assert mdp.reward_at(sink) == 0.0
-    assert not mdp.is_terminal(0)
+    # per-state tables, built once and read-only
+    assert mdp.terminal.tolist() == [False, False, False, True, True]
+    assert mdp.reward_of.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+    assert mdp.terminal is mdp.terminal and mdp.reward_of is mdp.reward_of
+    for table in (mdp.terminal, mdp.reward_of):
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_chain_with_distractors_topology():
@@ -72,8 +76,7 @@ def test_rollout_is_deterministic_given_stream():
     spec = ConstrainedRewardSpec()
     t1 = env.rollout(mdp, student, teacher, spec, np.random.default_rng(7))
     t2 = env.rollout(mdp, student, teacher, spec, np.random.default_rng(7))
-    assert t1.states == t2.states and t1.tokens == t2.tokens
-    assert t1.costs == t2.costs
+    assert_same_batch(t1, t2)
 
 
 def test_rollout_records_costs_at_acting_states():
@@ -82,10 +85,12 @@ def test_rollout_records_costs_at_acting_states():
     teacher = TeacherPolicy(np.full((mdp.num_states, 2), 0.5))
     spec = ConstrainedRewardSpec()
     traj = env.rollout(mdp, student, teacher, spec, np.random.default_rng(0))
-    assert traj.states == [0, 1]
-    assert traj.terminated and not traj.truncated
-    assert traj.total_task_reward == 1.0
-    assert len(traj.costs) == len(traj)
+    # one row as wide as a rollout_batch row
+    assert traj.states.shape == traj.costs.shape == (1, mdp.horizon_cap)
+    assert traj.lengths.tolist() == [2]
+    assert traj.states.tolist() == [[0, 1] + [0] * (mdp.horizon_cap - 2)]
+    assert traj.terminated.tolist() == [True]
+    assert traj.rewards.sum() == 1.0
 
 
 class _FixedStream:
@@ -110,13 +115,15 @@ def looping_mdp(horizon_cap=4):
                     {2: 1.0, 3: 0.0})
 
 
-def assert_same_trajectory(a, b):
-    assert a.states == b.states
-    assert a.tokens == b.tokens
-    assert a.task_rewards == b.task_rewards
-    assert a.costs == b.costs
-    assert a.penalty_divergences == b.penalty_divergences
-    assert (a.terminated, a.truncated) == (b.terminated, b.truncated)
+BATCH_FIELDS = ("states", "tokens", "lengths", "rewards", "costs",
+                "penalties", "terminated")
+
+
+def assert_same_batch(a, b):
+    for name in BATCH_FIELDS:
+        got, want = getattr(a, name), getattr(b, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("penalty_kind", [REVERSE_KL, JENSEN_SHANNON])
@@ -131,17 +138,15 @@ def test_rollout_batch_matches_rollout_per_key(mode, penalty_kind):
     uniforms = np.stack([np.random.default_rng(key).random(mdp.horizon_cap)
                          for key in keys])
     batch = env.rollout_batch(mdp, student, teacher, spec, uniforms)
-    for key, traj in zip(keys, batch):
-        assert_same_trajectory(
-            traj, env.rollout(mdp, student, teacher, spec,
-                              np.random.default_rng(key)))
+    assert_same_batch(env.TrajectoryBatch.stack(
+        [env.rollout(mdp, student, teacher, spec, np.random.default_rng(key))
+         for key in keys]), batch)
     # the batch covers a row truncated at horizon_cap and a row that
     # terminates on its last allowed step
-    full = [t for t in batch if len(t) == mdp.horizon_cap]
-    assert any(t.truncated for t in full)
-    assert any(t.terminated for t in full)
+    full = batch.terminated[batch.lengths == mdp.horizon_cap]
+    assert not full.all() and full.any()
     if penalty_kind != spec.cost_kind:
-        assert any(t.costs != t.penalty_divergences for t in batch)
+        assert (batch.costs != batch.penalties).any()
 
 
 def test_sampling_rule_on_cumulative_boundaries():
@@ -159,10 +164,11 @@ def test_sampling_rule_on_cumulative_boundaries():
                          [np.nextafter(cum[2], 2.0), 0.0],
                          [np.nextafter(cum[0], 0.0), cum[0]]])
     trajs = env.rollout_batch(mdp, student, teacher, spec, uniforms)
-    assert [t.tokens for t in trajs] == [[1, 1], [2], [2], [2], [0, 1]]
-    for row, traj in zip(uniforms, trajs):
-        assert_same_trajectory(
-            traj, env.rollout(mdp, student, teacher, spec, _FixedStream(row)))
+    assert trajs.tokens.tolist() == [[1, 1], [2, 0], [2, 0], [2, 0], [0, 1]]
+    assert trajs.lengths.tolist() == [2, 1, 1, 1, 2]
+    assert_same_batch(env.TrajectoryBatch.stack(
+        [env.rollout(mdp, student, teacher, spec, _FixedStream(row))
+         for row in uniforms]), trajs)
 
 
 @pytest.mark.parametrize("draws,tokens,terminated", [
@@ -177,8 +183,29 @@ def test_rollout_draws_once_per_step(draws, tokens, terminated):
     teacher = TeacherPolicy(np.full((4, 3), 1.0 / 3.0))
     stream = _FixedStream(draws + [0.0] * mdp.horizon_cap)
     traj = env.rollout(mdp, student, teacher, ConstrainedRewardSpec(), stream)
-    assert (traj.tokens, traj.terminated) == (tokens, terminated)
-    assert stream.used == len(traj)
+    n = int(traj.lengths[0])
+    assert (traj.tokens[0, :n].tolist(), bool(traj.terminated[0])) == \
+        (tokens, terminated)
+    assert stream.used == n
+
+
+def test_stack_concatenates_equally_wide_batches():
+    mdp = looping_mdp()
+    student, teacher = uniform_pair(mdp)
+    spec = ConstrainedRewardSpec()
+    uniforms = np.random.default_rng(2).random((3, mdp.horizon_cap))
+    batch = env.rollout_batch(mdp, student, teacher, spec, uniforms)
+    assert env.TrajectoryBatch.stack(batch) is batch
+    assert_same_batch(env.TrajectoryBatch.stack(
+        [env.rollout_batch(mdp, student, teacher, spec, uniforms[:1]),
+         env.rollout_batch(mdp, student, teacher, spec, uniforms[1:])]),
+        batch)
+    narrow = env.rollout_batch(looping_mdp(horizon_cap=2), student, teacher,
+                               spec, uniforms[:, :2])
+    with pytest.raises(ValueError, match="equally wide"):
+        env.TrajectoryBatch.stack([batch, narrow])
+    with pytest.raises(ValueError, match="equally wide"):
+        env.TrajectoryBatch.stack([])
 
 
 def test_rollout_batch_checks_uniform_shape():
@@ -202,8 +229,8 @@ def test_enumeration_probabilities_sum_to_one():
     mdp = env.chain_with_distractors()
     student, teacher = uniform_pair(mdp)
     spec = ConstrainedRewardSpec()
-    pairs = env.enumerate_trajectories(mdp, student, teacher, spec)
-    assert abs(sum(p for _, p in pairs) - 1.0) < 1e-12
+    _, probs = env.enumerate_batch(mdp, student, teacher, spec)
+    assert abs(sum(probs.tolist()) - 1.0) < 1e-12
 
 
 def test_enumeration_matches_sampling():
@@ -211,12 +238,12 @@ def test_enumeration_matches_sampling():
     student = SoftmaxPolicy(np.array([[1.0, 0.0]] * mdp.num_states))
     teacher = TeacherPolicy(np.full((mdp.num_states, 2), 0.5))
     spec = ConstrainedRewardSpec()
-    pairs = env.enumerate_trajectories(mdp, student, teacher, spec)
-    exact_success = sum(p * t.total_task_reward for t, p in pairs)
+    leaves, probs = env.enumerate_batch(mdp, student, teacher, spec)
+    exact_success = float(probs @ leaves.rewards.sum(axis=1))
     rng = np.random.default_rng(3)
     trajs = env.rollout_batch(mdp, student, teacher, spec,
                               rng.random((20000, mdp.horizon_cap)))
-    sampled = sum(t.total_task_reward for t in trajs) / len(trajs)
+    sampled = trajs.rewards.sum() / len(trajs)
     assert abs(exact_success - sampled) < 0.02
 
 
@@ -225,8 +252,8 @@ def test_enumeration_cap_raises():
     mdp = TokenMdp(2, 4, trans, 0, frozenset({1}), 10)
     student, teacher = uniform_pair(mdp)
     with pytest.raises(EnumerationCapExceeded):
-        env.enumerate_trajectories(mdp, student, teacher,
-                                   ConstrainedRewardSpec(), leaf_cap=100)
+        env.enumerate_batch(mdp, student, teacher, ConstrainedRewardSpec(),
+                            leaf_cap=100)
 
 
 def test_enumeration_cap_counts_every_leaf():
@@ -236,9 +263,9 @@ def test_enumeration_cap_counts_every_leaf():
     student, teacher = uniform_pair(mdp)
     spec = ConstrainedRewardSpec()
     with pytest.raises(EnumerationCapExceeded):
-        env.enumerate_trajectories(mdp, student, teacher, spec, leaf_cap=2)
-    assert len(env.enumerate_trajectories(mdp, student, teacher, spec,
-                                          leaf_cap=3)) == 3
+        env.enumerate_batch(mdp, student, teacher, spec, leaf_cap=2)
+    assert len(env.enumerate_batch(mdp, student, teacher, spec,
+                                   leaf_cap=3)[0]) == 3
     # the cap raises exactly when the tree has more leaves than it allows
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -248,8 +275,8 @@ def test_enumeration_cap_counts_every_leaf():
                                        leaf_cap=leaves)
         assert len(batch) == leaves
         with pytest.raises(EnumerationCapExceeded):
-            env.enumerate_trajectories(mdp, student, teacher, spec,
-                                       leaf_cap=leaves - 1)
+            env.enumerate_batch(mdp, student, teacher, spec,
+                                leaf_cap=leaves - 1)
 
 
 def test_tree_is_built_once_per_mdp():

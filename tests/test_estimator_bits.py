@@ -5,19 +5,34 @@ before it worked on `TrajectoryBatch` arrays. The array code must reproduce
 their every bit (compared with `tobytes()`, so signed zeros count), which
 holds only while it accumulates in the loops' order.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from crldistill import divergence as dv
 from crldistill import env, gradients, shaping, verification
-from crldistill.env import Trajectory, TrajectoryBatch
+from crldistill.env import TrajectoryBatch
 from crldistill.policies import (ALL_STATES, SoftmaxPolicy, TeacherPolicy,
                                  teacher_copy)
 from crldistill.shaping import ConstrainedRewardSpec
 from crldistill.verification import random_instance
 
 # ---------------------------------------------------------------------------
-# Reference: the scalar loops
+# Reference: the scalar loops, over each row's per-step lists
+
+STEP_FIELDS = ("states", "tokens", "rewards", "costs", "penalties")
+BATCH_FIELDS = ("states", "tokens", "lengths", "rewards", "costs",
+                "penalties", "terminated")
+
+
+def rows(batch):
+    """Each row of a batch as its first `lengths[k]` entries, as lists."""
+    steps = [getattr(batch, name).tolist() for name in STEP_FIELDS]
+    return [SimpleNamespace(terminated=done, **{
+        name: column[k][:n] for name, column in zip(STEP_FIELDS, steps)})
+        for k, (n, done) in enumerate(zip(batch.lengths.tolist(),
+                                          batch.terminated.tolist()))]
 
 
 def ref_remaining(costs, budget):
@@ -31,19 +46,19 @@ def ref_remaining(costs, budget):
 def ref_shape(traj, spec):
     if spec.mode == shaping.UNAUGMENTED:
         return [r if rem >= 0.0 else -(spec.penalty + p) for r, p, rem in
-                zip(traj.task_rewards, traj.penalty_divergences,
+                zip(traj.rewards, traj.penalties,
                     ref_remaining(traj.costs, spec.budget))]
     if spec.mode == shaping.SAUTE:
         z, out = spec.budget, []
-        for r, c in zip(traj.task_rewards, traj.costs):
+        for r, c in zip(traj.rewards, traj.costs):
             out.append(r if z >= 0.0 else -spec.penalty)
             z -= c
         return out
     if spec.mode == shaping.LAGRANGIAN:
         return [r - spec.lagrange_weight * c
-                for r, c in zip(traj.task_rewards, traj.costs)]
+                for r, c in zip(traj.rewards, traj.costs)]
     if spec.mode == shaping.REWARD_ONLY:
-        return list(traj.task_rewards)
+        return list(traj.rewards)
     return [-c for c in traj.costs]
 
 
@@ -101,7 +116,7 @@ def ref_term_ii(student, teacher, trajs, spec, weights):
     if coefficient == 0.0:
         return table
     for traj, w in zip(trajs, ref_weights(trajs, weights)):
-        flags = ref_flags(traj, spec) if mask else [True] * len(traj)
+        flags = ref_flags(traj, spec) if mask else [True] * len(traj.states)
         scale = w * coefficient
         for s, flagged in zip(traj.states, flags):
             if flagged:
@@ -112,16 +127,17 @@ def ref_term_ii(student, teacher, trajs, spec, weights):
 
 
 def ref_enumerate(mdp, student, teacher, spec):
-    """The recursive depth-first walk: (Trajectory, probability) leaves in
-    lexicographic token order."""
+    """The recursive depth-first walk: (leaf, probability) pairs in
+    lexicographic token order, each leaf per-step lists."""
     probs, cost, pen = env.state_tables(mdp, student, teacher, spec)
     cost, pen = cost.tolist(), pen.tolist()
     results = []
 
     def leaf(ss, aa, rr, terminated, prob):
-        results.append((Trajectory(list(ss), list(aa), list(rr),
-                                   [cost[s] for s in ss],
-                                   [pen[s] for s in ss], terminated), prob))
+        results.append((SimpleNamespace(
+            states=list(ss), tokens=list(aa), rewards=list(rr),
+            costs=[cost[s] for s in ss], penalties=[pen[s] for s in ss],
+            terminated=terminated), prob))
 
     def walk(state, depth, prob, ss, aa, rr):
         if depth == mdp.horizon_cap:
@@ -169,7 +185,8 @@ def ref_rollout(mdp, student, teacher, spec, rng):
         if done:
             terminated = True
             break
-    return Trajectory(states, tokens, rewards, costs, pens, terminated)
+    return SimpleNamespace(states=states, tokens=tokens, rewards=rewards,
+                           costs=costs, penalties=pens, terminated=terminated)
 
 
 def ref_divergence(p, q, kind):
@@ -248,11 +265,13 @@ def assert_same_bits(got, want):
 
 def check_estimator(student, teacher, trajs, spec, groups=None,
                     weights=None):
-    shaped = [ref_shape(t, spec) for t in trajs]
+    """`trajs`: a batch, or a list of equally wide ones."""
+    ref = rows(TrajectoryBatch.stack(trajs))
+    shaped = [ref_shape(t, spec) for t in ref]
     credit = gradients._credit_mode(spec)
-    term_i = ref_term_i(student, trajs, shaped, groups, credit,
+    term_i = ref_term_i(student, ref, shaped, groups, credit,
                         spec.discount, weights)
-    term_ii = ref_term_ii(student, teacher, trajs, spec, weights)
+    term_ii = ref_term_ii(student, teacher, ref, spec, weights)
     kw = {"baseline": gradients.BASELINE_GROUP, "groups": groups} \
         if groups else {}
     est = gradients.total_gradient(student, teacher, trajs, spec,
@@ -276,15 +295,15 @@ def test_estimator_matches_scalar_loops(chunk):
             stream = np.random.default_rng(rng.integers(2**32))
             trajs = [env.rollout(mdp, student, teacher, spec, stream)
                      for _ in range(10)]
-            truncated += sum(t.truncated for t in trajs)
-            last_step += sum(t.terminated and len(t) == mdp.horizon_cap
-                             for t in trajs)
+            stacked = TrajectoryBatch.stack(trajs)
+            done = stacked.terminated
+            truncated += (~done).sum()
+            last_step += (done & (stacked.lengths == mdp.horizon_cap)).sum()
             check_estimator(student, teacher, trajs, spec)
             check_estimator(student, teacher, trajs, spec,
                             groups=[[0, 1], [2, 3, 4, 5, 6], [7, 8, 9]])
-            leaves, probs = zip(*env.enumerate_trajectories(
-                mdp, student, teacher, spec))
-            est = check_estimator(student, teacher, list(leaves), spec,
+            leaves, probs = env.enumerate_batch(mdp, student, teacher, spec)
+            est = check_estimator(student, teacher, leaves, spec,
                                   weights=probs)
             fired += bool(est.term_ii.any())
     assert fired and truncated and last_step
@@ -297,17 +316,26 @@ def test_estimator_edge_batches():
         size=(mdp.num_states, mdp.vocab_size)))
     for spec in specs(0.2):
         # an empty batch gives zero tables
-        est = check_estimator(student, teacher, [], spec)
+        empty = env.rollout_batch(mdp, student, teacher, spec,
+                                  np.zeros((0, mdp.horizon_cap)))
+        est = check_estimator(student, teacher, empty, spec)
         assert not est.table.any()
         # rows of every length, one group of 2 and one of 3
         uniforms = np.random.default_rng(9).random((5, mdp.horizon_cap))
         batch = env.rollout_batch(mdp, student, teacher, spec, uniforms)
-        check_estimator(student, teacher, list(batch), spec,
+        singles = [env.rollout_batch(mdp, student, teacher, spec, row[None])
+                   for row in uniforms]
+        check_estimator(student, teacher, singles, spec,
                         groups=[[0, 1], [2, 3, 4]])
-        assert_same_bits(
-            gradients.total_gradient(student, teacher, batch, spec).table,
-            gradients.total_gradient(student, teacher, list(batch),
-                                     spec).table)
+        # trailing zero columns leave every bit unchanged
+        wider = TrajectoryBatch(*(
+            np.pad(a, ((0, 0), (0, 3))) if a.ndim == 2 else a
+            for a in (getattr(batch, name) for name in BATCH_FIELDS)))
+        for trajs in (singles, wider):
+            assert_same_bits(
+                gradients.total_gradient(student, teacher, batch, spec).table,
+                gradients.total_gradient(student, teacher, trajs,
+                                         spec).table)
 
 
 def test_shaping_matches_scalar_loops():
@@ -315,36 +343,62 @@ def test_shaping_matches_scalar_loops():
     for _ in range(10):
         mdp, student, teacher = random_instance(rng)
         for spec in specs(float(rng.uniform(0.05, 1.0))):
-            trajs = [t for t, _ in env.enumerate_trajectories(
-                mdp, student, teacher, spec)]
-            batch = TrajectoryBatch.stack(trajs)
+            batch, _ = env.enumerate_batch(mdp, student, teacher, spec)
+            trajs = rows(batch)
             shaped = shaping.shape_rewards(batch, spec)
             flags = shaping.boundary_flags(batch, spec)
             for k, traj in enumerate(trajs):
-                n = len(traj)
+                n = len(traj.states)
                 assert shaped[k, :n].tolist() == ref_shape(traj, spec)
                 assert not shaped[k, n:].any()
                 assert flags[k, :n].tolist() == ref_flags(traj, spec)
                 assert not flags[k, n:].any()
-                assert shaping.shape_rewards(TrajectoryBatch.stack([traj]),
-                                             spec)[0].tolist() == \
-                    ref_shape(traj, spec)
+                one_row = TrajectoryBatch(*(getattr(batch, name)[k:k + 1]
+                                            for name in BATCH_FIELDS))
+                assert shaping.shape_rewards(one_row, spec)[0, :n].tolist() \
+                    == ref_shape(traj, spec)
             for discount in (1.0, 0.9):
                 togo = gradients._returns_to_go(shaped, discount)
                 for k, traj in enumerate(trajs):
-                    assert togo[k, :len(traj)].tolist() == ref_returns_to_go(
+                    n = len(traj.states)
+                    assert togo[k, :n].tolist() == ref_returns_to_go(
                         ref_shape(traj, spec), discount)
 
 
 def check_enumeration(mdp, student, teacher, spec):
-    trajs, probs = zip(*ref_enumerate(mdp, student, teacher, spec))
-    want = TrajectoryBatch.stack(trajs)
+    leaves, probs = zip(*ref_enumerate(mdp, student, teacher, spec))
     batch, got = env.enumerate_batch(mdp, student, teacher, spec)
-    for name in ("states", "tokens", "lengths", "rewards", "costs",
-                 "penalties", "terminated"):
-        assert_same_bits(getattr(batch, name), getattr(want, name))
+    # the leaves padded with zeros to the longest one
+    lengths = np.array([len(leaf.states) for leaf in leaves])
+    assert_same_bits(batch.lengths, lengths)
+    for name in STEP_FIELDS:
+        want = np.zeros((len(leaves), lengths.max()),
+                        getattr(batch, name).dtype)
+        for k, leaf in enumerate(leaves):
+            want[k, :lengths[k]] = getattr(leaf, name)
+        assert_same_bits(getattr(batch, name), want)
+    assert_same_bits(batch.terminated,
+                     np.array([leaf.terminated for leaf in leaves]))
     assert_same_bits(got, np.array(probs))
     return batch
+
+
+def test_pair_view_is_the_batch_rows():
+    # the (leaf, probability) view that the benchmark's finite-difference
+    # filter reads: row k's first lengths[k] entries, in leaf order
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        mdp, student, teacher = random_instance(rng)
+        for spec in specs(float(rng.uniform(0.05, 1.0))):
+            batch, probs = env.enumerate_batch(mdp, student, teacher, spec)
+            pairs = env.enumerate_trajectories(mdp, student, teacher, spec)
+            assert [p for _, p in pairs] == probs.tolist()
+            for (leaf, _), row in zip(pairs, rows(batch), strict=True):
+                assert (leaf.states, leaf.tokens, leaf.task_rewards,
+                        leaf.costs, leaf.penalty_divergences,
+                        leaf.terminated) == \
+                    (row.states, row.tokens, row.rewards, row.costs,
+                     row.penalties, row.terminated)
 
 
 def test_enumeration_matches_the_recursive_walk():
@@ -378,32 +432,30 @@ def test_rollout_matches_the_per_step_loop():
             got_rng = np.random.default_rng(key)
             want_rng = np.random.default_rng(key)
             for _ in range(20):
-                got = env.rollout(mdp, student, teacher, spec, got_rng)
+                batch = env.rollout(mdp, student, teacher, spec, got_rng)
+                assert batch.states.shape == (1, mdp.horizon_cap)
+                [got] = rows(batch)
                 want = ref_rollout(mdp, student, teacher, spec, want_rng)
                 assert got.states == want.states
                 assert got.tokens == want.tokens
-                for name in ("task_rewards", "costs", "penalty_divergences"):
+                for name in ("rewards", "costs", "penalties"):
                     assert np.array(getattr(got, name)).tobytes() == \
                         np.array(getattr(want, name)).tobytes()
                 assert got.terminated is want.terminated
-                truncated += got.truncated
+                truncated += not got.terminated
                 terminated += got.terminated
             # both have drawn exactly as many values from the stream
             assert got_rng.random() == want_rng.random()
     assert truncated and terminated
 
 
-def test_batch_rows_are_the_trajectories():
-    trajs = [Trajectory([0, 2, 1], [1, 0, 2], [0.0, 0.0, 1.0],
-                        [0.1, 0.0, 0.3], [0.2, 0.0, 0.4], True),
-             Trajectory([0], [2], [0.0], [0.5], [0.5], False)]
-    batch = TrajectoryBatch.stack(trajs)
-    assert len(batch) == 2 and list(batch) == trajs and batch[1] == trajs[1]
-    assert batch.states.tolist() == [[0, 2, 1], [0, 0, 0]]
-    assert batch.costs.tolist() == [[0.1, 0.0, 0.3], [0.5, 0.0, 0.0]]
-    assert batch.live.tolist() == [[True] * 3, [True, False, False]]
-    assert TrajectoryBatch.stack(batch) is batch
-    assert len(TrajectoryBatch.stack([])) == 0
+def one_step_rows(tokens, rewards):
+    """A batch of one-step rows acting from state 0, with zero costs."""
+    n = len(rewards)
+    return TrajectoryBatch(
+        np.zeros((n, 1), dtype=np.int64), np.array(tokens)[:, None],
+        np.ones(n, dtype=np.int64), np.array(rewards, dtype=float)[:, None],
+        np.zeros((n, 1)), np.zeros((n, 1)), np.ones(n, dtype=bool))
 
 
 def test_accumulation_keeps_the_loop_order():
@@ -411,14 +463,15 @@ def test_accumulation_keeps_the_loop_order():
     # other orders: 1e16 + 3 and 1e16 + 1 round
     student = SoftmaxPolicy.uniform(1, 2, floor=0.0)
     advs = (1e16, 3.0, -1e16, 1.0)
-    trajs = [Trajectory([0], [0], [r], [0.0], [0.0], True) for r in advs]
+    batch = one_step_rows([0] * 4, advs)
+    trajs = rows(batch)
     shaped = [[r] for r in advs]
     weights = [1.0] * 4
     want = ref_term_i(student, trajs, shaped, None, gradients.CREDIT_STEP,
                       1.0, weights)
     got = gradients.likelihood_ratio_term(
-        student, TrajectoryBatch.stack(trajs), shaped,
-        credit=gradients.CREDIT_STEP, weights=weights)
+        student, batch, shaped, credit=gradients.CREDIT_STEP,
+        weights=weights)
     assert_same_bits(got, want)
     # the case has teeth: the reversed order, and the probability parts and
     # token parts summed apart and then added (two bincounts), differ
@@ -437,8 +490,7 @@ def test_group_sums_keep_the_member_order():
     # terms) gives 8 where the running sum gives 1
     student = SoftmaxPolicy.uniform(1, 2, floor=0.0)
     rewards = [1e16] + [1.0] * 7 + [-1e16, 1.0]
-    trajs = [Trajectory([0], [k % 2], [r], [0.0], [0.0], True)
-             for k, r in enumerate(rewards)]
+    trajs = one_step_rows([k % 2 for k in range(10)], rewards)
     groups = [list(range(10))]
     base = gradients._group_baselines(np.array([[r] for r in rewards]),
                                       groups, np.ones(10, dtype=np.int64))

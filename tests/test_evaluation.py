@@ -46,8 +46,11 @@ def test_violation_probability_matches_evaluation():
     for budget in (0.1, 2.0):
         spec = ConstrainedRewardSpec(budget=budget)
         result = evaluate_policy(mdp, student, teacher, spec)
-        direct = sum(p for traj, p in env.enumerate_trajectories(
-            mdp, student, teacher, spec) if traj.total_cost > budget)
+        batch, probs = env.enumerate_batch(mdp, student, teacher, spec)
+        direct = sum(p for costs, n, p in zip(batch.costs.tolist(),
+                                              batch.lengths.tolist(),
+                                              probs.tolist())
+                     if sum(costs[:n]) > budget)
         assert result.violation_probability == pytest.approx(direct,
                                                              abs=1e-12)
         assert result.constraint_satisfaction == \
@@ -63,8 +66,8 @@ def test_probabilities_are_clamped_to_the_unit_interval():
     student = SoftmaxPolicy(np.random.default_rng(0).normal(
         scale=1.0, size=(mdp.num_states, mdp.vocab_size)))
     spec = ConstrainedRewardSpec(budget=0.1)
-    assert sum(p for _, p in env.enumerate_trajectories(
-        mdp, student, teacher, spec)) > 1.0
+    _, probs = env.enumerate_batch(mdp, student, teacher, spec)
+    assert sum(probs.tolist()) > 1.0
     result = evaluate_policy(mdp, student, teacher, spec)
     assert result.violation_probability == 1.0
     assert result.constraint_satisfaction == 0.0

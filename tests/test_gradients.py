@@ -3,7 +3,7 @@ import pytest
 
 from crldistill import divergence as dv
 from crldistill import env, gradients, shaping
-from crldistill.env import Trajectory, TrajectoryBatch
+from crldistill.env import TrajectoryBatch
 from crldistill.gradients import (BASELINE_GROUP, BASELINE_NONE,
                                   CREDIT_STEP, CREDIT_TO_GO, FD_STEP,
                                   boundary_margin, exact_gradient,
@@ -46,8 +46,10 @@ def test_group_baseline_zeroes_identical_returns():
     # all group members share one return, so every advantage is zero
     mdp, student, teacher = small_instance()
     spec = ConstrainedRewardSpec(mode=shaping.REWARD_ONLY)
-    traj = Trajectory([0, 2], [0, 0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0],
-                      True)
+    traj = TrajectoryBatch(np.array([[0, 2]]), np.array([[0, 0]]),
+                           np.array([2]), np.array([[0.0, 1.0]]),
+                           np.zeros((1, 2)), np.zeros((1, 2)),
+                           np.array([True]))
     batch = TrajectoryBatch.stack([traj, traj, traj])
     shaped = shaping.shape_rewards(batch, spec)
     term = likelihood_ratio_term(student, batch, shaped,
@@ -58,8 +60,7 @@ def test_group_baseline_zeroes_identical_returns():
 def test_group_baseline_requires_groups():
     mdp, student, teacher = small_instance()
     spec = ConstrainedRewardSpec()
-    traj = env.rollout(mdp, student, teacher, spec, np.random.default_rng(0))
-    batch = TrajectoryBatch.stack([traj])
+    batch = env.rollout(mdp, student, teacher, spec, np.random.default_rng(0))
     shaped = shaping.shape_rewards(batch, spec)
     with pytest.raises(ValueError):
         likelihood_ratio_term(student, batch, shaped,
@@ -129,10 +130,10 @@ def test_exact_gradient_matches_finite_differences(mode, kw):
 
     def shaped_value(policy):
         total = 0.0
-        for traj, p in env.enumerate_trajectories(mdp, policy, teacher, spec):
-            shaped = shaping.shape_rewards(TrajectoryBatch.stack([traj]),
-                                           spec)[0].tolist()
-            total += p * sum(shaped)
+        batch, probs = env.enumerate_batch(mdp, policy, teacher, spec)
+        shaped = shaping.shape_rewards(batch, spec).tolist()
+        for row, n, p in zip(shaped, batch.lengths.tolist(), probs.tolist()):
+            total += p * sum(row[:n])
         return total
 
     fd = finite_difference_gradient(shaped_value, student)
@@ -160,9 +161,12 @@ def test_term_ii_matches_hand_sum(kw, kind, coefficient):
         np.testing.assert_allclose(est.term_i, 0.0, atol=1e-12)
 
     expected = np.zeros_like(student.logits)
-    for traj, p in env.enumerate_trajectories(mdp, student, teacher, spec):
+    batch, probs = env.enumerate_batch(mdp, student, teacher, spec)
+    for states, costs, n, p in zip(batch.states.tolist(),
+                                   batch.costs.tolist(),
+                                   batch.lengths.tolist(), probs.tolist()):
         remaining = spec.budget
-        for t, (s, c) in enumerate(zip(traj.states, traj.costs)):
+        for t, (s, c) in enumerate(zip(states[:n], costs[:n])):
             if spec.mode != shaping.UNAUGMENTED \
                     or remaining <= spec.boundary_tol:
                 expected -= p * coefficient * spec.discount ** t * \
@@ -206,8 +210,10 @@ def test_default_weights_are_the_batch_mean():
 
 def test_empty_batch_gives_zero_table():
     mdp, student, teacher = small_instance()
-    est = total_gradient(student, teacher, [], ConstrainedRewardSpec(
-        mode=shaping.KL_ONLY))
+    spec = ConstrainedRewardSpec(mode=shaping.KL_ONLY)
+    empty = env.rollout_batch(mdp, student, teacher, spec,
+                              np.zeros((0, mdp.horizon_cap)))
+    est = total_gradient(student, teacher, empty, spec)
     np.testing.assert_array_equal(est.table, np.zeros_like(student.logits))
     assert est.num_trajectories == 0
 

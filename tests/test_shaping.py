@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crldistill import shaping
-from crldistill.env import Trajectory, TrajectoryBatch
+from crldistill.env import TrajectoryBatch
 from crldistill.shaping import (ConstrainedRewardSpec, boundary_flags,
                                 lagrangian_step_reward, remaining_budget,
                                 saute_reward, shape_rewards, unaug_reward)
@@ -13,10 +13,12 @@ from crldistill.shaping import (ConstrainedRewardSpec, boundary_flags,
 def make_traj(rewards, costs, pens=None):
     """One trajectory, as a one-row batch."""
     n = len(rewards)
-    return TrajectoryBatch.stack([Trajectory(
-        states=list(range(n)), tokens=[0] * n, task_rewards=list(rewards),
-        costs=list(costs), penalty_divergences=list(pens or [0.0] * n),
-        terminated=True)])
+    return TrajectoryBatch(
+        states=np.arange(n)[None], tokens=np.zeros((1, n), dtype=np.int64),
+        lengths=np.array([n]), rewards=np.array([rewards], dtype=float),
+        costs=np.array([costs], dtype=float),
+        penalties=np.array([pens or [0.0] * n], dtype=float),
+        terminated=np.array([True]))
 
 
 def test_unaug_reward_hand_example():

@@ -27,9 +27,9 @@ def test_random_instance_is_enumerable():
         mdp, student, teacher = random_instance(rng)
         assert mdp.num_states <= 6 and mdp.vocab_size <= 4
         assert mdp.horizon_cap <= 5
-        pairs = env.enumerate_trajectories(mdp, student, teacher,
-                                           ConstrainedRewardSpec())
-        assert abs(sum(p for _, p in pairs) - 1.0) < 1e-12
+        _, probs = env.enumerate_batch(mdp, student, teacher,
+                                       ConstrainedRewardSpec())
+        assert abs(sum(probs.tolist()) - 1.0) < 1e-12
 
 
 def test_policy_value_penalized_mass_bounds():
@@ -40,9 +40,12 @@ def test_policy_value_penalized_mass_bounds():
     spec = ConstrainedRewardSpec(budget=0.05)
     report = check_monotone_in_n(mdp, teacher,
                                  [student, teacher_copy(teacher)], spec=spec)
-    expected = sum(p for traj, p in env.enumerate_trajectories(
-        mdp, student, teacher, spec)
-        if functools.reduce(operator.sub, traj.costs[:-1], spec.budget) < 0)
+    batch, probs = env.enumerate_batch(mdp, student, teacher, spec)
+    expected = sum(p for costs, n, p in zip(batch.costs.tolist(),
+                                            batch.lengths.tolist(),
+                                            probs.tolist())
+                   if functools.reduce(operator.sub, costs[:n - 1],
+                                       spec.budget) < 0)
     mass, copy_mass = report.details["penalized_mass"]
     assert 0.0 < mass <= 1.0
     assert mass == pytest.approx(expected, abs=1e-12)
