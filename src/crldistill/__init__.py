@@ -8,7 +8,7 @@ executable checks of the underlying guarantees.
 """
 
 from .divergence import (JENSEN_SHANNON, REVERSE_KL, divergence_gradient,
-                         kl_score_gradient, max_cost_bound, per_state_cost)
+                         max_cost_bound, per_state_cost)
 from .env import (EnumerationCapExceeded, TokenMdp, TrajectoryBatch, chain,
                   chain_with_distractors, enumerate_batch, load_task,
                   rollout, rollout_batch, save_task, step, tension_teacher)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policies import floor_distribution
+from .policies import ALL_STATES, read_only
 
 REVERSE_KL = "reverse_kl"
 JENSEN_SHANNON = "js"
@@ -57,24 +57,28 @@ def divergence_gradient(student, teacher, state,
     E_{a~pi}[grad log pi(a|s) (1 + log pi(a|s) - log mu(a|s))], carried
     through the probability floor so it matches finite differences exactly.
     Nonzero only in the row for `state`; `policies.ALL_STATES` gives every
-    state's row at once.
+    state's row at once. The whole table is built once per student logits,
+    teacher and kind (kept in `student.tables`, read-only), with the
+    per-state formulas along the last axis, so each row has the bits of a
+    one-row computation.
     """
     _check_kind(kind)
-    q = student.raw_probs(state)
-    p = floor_distribution(q, student.floor)
-    mu = teacher.action_probs(state)
-    scale = 1.0 + student.vocab_size * student.floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = q * _grad_wrt_probs(p, mu, kind)
-        row = (w - q * w.sum(axis=-1, keepdims=True)) / scale
-    g = np.zeros_like(student.logits)
-    g[state] = row
-    return g
-
-
-def kl_score_gradient(student, teacher, state: int) -> np.ndarray:
-    """Gradient of the reverse-KL cost at `state` (exact vocabulary expectation)."""
-    return divergence_gradient(student, teacher, state, REVERSE_KL)
+    key = ("divergence_gradient", teacher, kind)
+    table = student.tables.get(key)
+    if table is None:
+        q = student.raw_probs(ALL_STATES)
+        p = student.action_probs(ALL_STATES)
+        mu = teacher.action_probs(ALL_STATES)
+        scale = 1.0 + student.vocab_size * student.floor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = q * _grad_wrt_probs(p, mu, kind)
+            table = (w - q * w.sum(axis=-1, keepdims=True)) / scale
+        student.tables[key] = read_only(table)
+    if state is ALL_STATES:
+        return table
+    g = np.zeros_like(table)
+    g[state] = table[state]
+    return read_only(g)
 
 
 def max_cost_bound(teacher) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import yaml
 
 from . import divergence as dv
-from .policies import ALL_STATES, TeacherPolicy
+from .policies import ALL_STATES, TeacherPolicy, read_only
 
 ENUMERATION_LEAF_CAP = 10**6
 
@@ -62,15 +62,16 @@ class TokenMdp:
     @cached_property
     def terminal(self) -> np.ndarray:
         """Whether each state is terminal, (num_states,) bool, read-only."""
-        return _read_only(np.isin(np.arange(self.num_states),
-                                  list(self.terminal_states)))
+        terminal = np.zeros(self.num_states, dtype=bool)
+        terminal[list(self.terminal_states)] = True
+        return read_only(terminal)
 
     @cached_property
     def reward_of(self) -> np.ndarray:
         """Task reward on entering each state (0 if running), read-only."""
         rewards = [self.task_reward.get(s, 0.0)
                    for s in range(self.num_states)]
-        return _read_only(np.where(self.terminal, rewards, 0.0))
+        return read_only(np.where(self.terminal, rewards, 0.0))
 
     @cached_property
     def leaf_count(self) -> int:
@@ -85,15 +86,17 @@ class TokenMdp:
         return int(below[self.initial_state])
 
     @cached_property
+    def _step_lists(self) -> tuple[list, list, list]:
+        """`transition`, `terminal` and `reward_of` as lists, for the plain
+        Python steps of `rollout`."""
+        return (self.transition.tolist(), self.terminal.tolist(),
+                self.reward_of.tolist())
+
+    @cached_property
     def _tree(self) -> "_Steps":
         """The trajectory tree's policy-free arrays, built once (see
         `enumerate_batch`) and read-only, since every batch shares them."""
-        return _Steps(*map(_read_only, _build_tree(self)))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        return _Steps(*map(read_only, _build_tree(self)))
 
 
 @dataclass(eq=False)
@@ -152,18 +155,22 @@ def rollout(mdp, student, teacher, spec,
     """Sample one episode under the student, as a one-row batch as wide as
     a `rollout_batch` row (horizon_cap), recording teacher divergences.
 
-    Reads the per-state tables of `state_tables` once per call and steps in
-    plain Python with `rollout_batch`'s token rule: the number of cumulative
-    probabilities <= u, clipped to vocab_size - 1. Draws exactly one
-    `rng.random()` per step, so it samples the episode that `rollout_batch`
-    samples from a row of the same draws, and leaves the stream just past
-    the episode's last step.
+    Steps in plain Python over list forms of the cumulative-probability,
+    cost and penalty tables, built once per student logits, teacher and
+    spec kinds and kept in `student.tables`, with `rollout_batch`'s token
+    rule: the number of cumulative probabilities <= u, clipped to
+    vocab_size - 1. Draws exactly one `rng.random()` per step, so it samples
+    the episode that `rollout_batch` samples from a row of the same draws,
+    and leaves the stream just past the episode's last step.
     """
-    probs, cost, pen = state_tables(mdp, student, teacher, spec)
-    cum = probs.cumsum(axis=1).tolist()
-    cost, pen = cost.tolist(), pen.tolist()
-    successor = mdp.transition.tolist()
-    terminal, reward = mdp.terminal.tolist(), mdp.reward_of.tolist()
+    key = ("rollout", teacher, spec.cost_kind, spec.penalty_kind)
+    lists = student.tables.get(key)
+    if lists is None:
+        _, cost, pen = state_tables(mdp, student, teacher, spec)
+        lists = student.tables[key] = (_cumulative(student).tolist(),
+                                       cost.tolist(), pen.tolist())
+    cum, cost, pen = lists
+    successor, terminal, reward = mdp._step_lists
     last = mdp.vocab_size - 1
     states, tokens, rewards = [], [], []
     s = mdp.initial_state
@@ -190,14 +197,29 @@ def state_tables(mdp, student, teacher, spec):
     (num_states, vocab_size), and the cost and penalty divergences against
     the teacher (num_states,), each computed over the whole table at once
     with the per-state formulas. The penalty table is the cost table itself
-    when `spec.penalty_kind == spec.cost_kind`.
+    when `spec.penalty_kind == spec.cost_kind`. Built once per student
+    logits, teacher and spec kinds, kept in `student.tables`, read-only.
     """
-    probs = student.action_probs(ALL_STATES)
-    mu = teacher.action_probs(ALL_STATES)
-    cost = dv.divergence(probs, mu, spec.cost_kind)
-    pen = cost if spec.penalty_kind == spec.cost_kind else \
-        dv.divergence(probs, mu, spec.penalty_kind)
-    return probs, cost, pen
+    key = ("state_tables", teacher, spec.cost_kind, spec.penalty_kind)
+    tables = student.tables.get(key)
+    if tables is None:
+        probs = student.action_probs(ALL_STATES)
+        mu = teacher.action_probs(ALL_STATES)
+        cost = read_only(dv.divergence(probs, mu, spec.cost_kind))
+        pen = cost if spec.penalty_kind == spec.cost_kind else \
+            read_only(dv.divergence(probs, mu, spec.penalty_kind))
+        tables = student.tables[key] = (probs, cost, pen)
+    return tables
+
+
+def _cumulative(student) -> np.ndarray:
+    """Each state's cumulative action probabilities, the samplers' token
+    rule table; built once per student logits."""
+    cum = student.tables.get("cumulative")
+    if cum is None:
+        cum = student.tables["cumulative"] = read_only(
+            np.cumsum(student.action_probs(ALL_STATES), axis=1))
+    return cum
 
 
 class _Steps(NamedTuple):
@@ -239,14 +261,14 @@ def rollout_batch(mdp, student, teacher, spec,
     `rollout`: the number of cumulative probabilities <= u, clipped to
     vocab_size - 1. A row filled with the first horizon_cap draws of a stream
     therefore gives the episode `rollout` samples from that stream. The
-    student is fixed for the call, so its cumulative-probability, cost and
-    penalty tables are built once and all rows step together.
+    student is fixed for the call, so all rows step together on its
+    cumulative-probability, cost and penalty tables.
     """
     u = np.asarray(uniforms, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != mdp.horizon_cap:
         raise ValueError("uniforms must have shape (batch, horizon_cap)")
-    probs, cost, pen = state_tables(mdp, student, teacher, spec)
-    cum = np.cumsum(probs, axis=1)
+    _, cost, pen = state_tables(mdp, student, teacher, spec)
+    cum = _cumulative(student)
 
     count = u.shape[0]
     states = np.zeros((count, mdp.horizon_cap), dtype=np.int64)

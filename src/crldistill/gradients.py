@@ -33,14 +33,17 @@ class GradientEstimate:
 
 def _returns_to_go(rewards, discount: float) -> np.ndarray:
     """Discounted reward-to-go of each row of a (B, T) reward array, built
-    backwards one column at a time. Entries past a row's length must be 0,
-    so the row's last step sees a continuation of 0."""
+    backwards one column at a time from the last column with a nonzero
+    entry. Entries past a row's length must be 0, so the row's last step
+    sees a continuation of 0; the skipped trailing columns are +0.0, which
+    the loop would give them whatever the sign of their zeros."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.empty_like(rewards)
-    g = np.zeros(rewards.shape[:-1])
-    for t in range(rewards.shape[-1] - 1, -1, -1):
-        g = rewards[..., t] + discount * g
-        out[..., t] = g
+    out = np.zeros_like(rewards)
+    g = np.zeros(len(rewards))
+    used = np.flatnonzero(rewards.any(axis=0))
+    for t in range(used[-1] if used.size else -1, -1, -1):
+        g = rewards[:, t] + discount * g
+        out[:, t] = g
     return out
 
 
@@ -215,16 +218,19 @@ def objective_value(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float
 
 
 def finite_difference_gradient(fn, policy, step: float = FD_STEP) -> np.ndarray:
-    """Central differences of a scalar function of the policy logits."""
-    base = policy.copy()
-    grad = np.zeros_like(base.logits)
-    for idx in np.ndindex(*base.logits.shape):
-        saved = base.logits[idx]
-        base.logits[idx] = saved + step
-        hi = fn(base)
-        base.logits[idx] = saved - step
-        lo = fn(base)
-        base.logits[idx] = saved
+    """Central differences of a scalar function of the policy logits, each
+    perturbed table assigned to a copy of the policy."""
+    probe = policy.copy()
+    logits = policy.logits
+    grad = np.zeros_like(logits)
+    for idx in np.ndindex(*logits.shape):
+        values = []
+        for shifted in (logits[idx] + step, logits[idx] - step):
+            table = logits.copy()
+            table[idx] = shifted
+            probe.logits = table
+            values.append(fn(probe))
+        hi, lo = values
         grad[idx] = (hi - lo) / (2.0 * step)
     return grad
 

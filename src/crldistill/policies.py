@@ -1,7 +1,7 @@
 # Tabular softmax student policies and frozen teacher tables.
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,41 +19,79 @@ def floor_distribution(p: np.ndarray, floor: float) -> np.ndarray:
     return (p + floor) / (1.0 + p.shape[-1] * floor)
 
 
-@dataclass
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark `a` read-only and return it."""
+    a.setflags(False)  # write=False, passed by position: a third of the cost
+    return a
+
+
 class SoftmaxPolicy:
-    """Trainable student: one logit per (state, token), floored softmax rows."""
+    """Trainable student: one logit per (state, token), floored softmax rows.
 
-    logits: np.ndarray  # (num_states, vocab_size)
-    floor: float = DEFAULT_FLOOR
+    `logits` is a read-only float64 table. Assigning `policy.logits = new`
+    is the only update: it stores a read-only float64 copy of `new` and
+    empties `tables`, so a table derived from old logits is never read
+    again. An in-place write raises.
 
-    def __post_init__(self):
-        self.logits = np.array(self.logits, dtype=np.float64)
-        if self.logits.ndim != 2:
-            raise ValueError("logits must be a (num_states, vocab_size) table")
-        if self.floor < 0:
+    `tables` holds what is derived from the current logits, built once per
+    logits value by its one builder and read-only: the whole-table softmax
+    here, and `env.state_tables`, the samplers' forms of it and
+    `divergence.divergence_gradient` elsewhere. Keys that depend on a
+    teacher hold the teacher object itself, so a table cannot be mistaken
+    for that of a later teacher; teachers are immutable.
+    """
+
+    def __init__(self, logits, floor: float = DEFAULT_FLOOR):
+        if floor < 0:
             raise ValueError("floor must be nonnegative")
+        self._floor = floor
+        self.logits = logits
+
+    @property
+    def logits(self) -> np.ndarray:  # (num_states, vocab_size)
+        return self._logits
+
+    @logits.setter
+    def logits(self, value) -> None:
+        table = np.array(value, np.float64)
+        if table.ndim != 2:
+            raise ValueError("logits must be a (num_states, vocab_size) table")
+        self._logits = read_only(table)
+        self.tables = {}
+
+    @property
+    def floor(self) -> float:
+        return self._floor
 
     @property
     def num_states(self) -> int:
-        return self.logits.shape[0]
+        return self._logits.shape[0]
 
     @property
     def vocab_size(self) -> int:
-        return self.logits.shape[1]
+        return self._logits.shape[1]
+
+    def _softmax(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unfloored and floored softmax of every logit row."""
+        both = self.tables.get("softmax")
+        if both is None:
+            z = self._logits - self._logits.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            raw = read_only(e / e.sum(axis=-1, keepdims=True))
+            both = self.tables["softmax"] = (
+                raw, read_only(floor_distribution(raw, self._floor)))
+        return both
 
     def raw_probs(self, state) -> np.ndarray:
         """Unfloored softmax of the logit row `state` (or of every row, for
         `ALL_STATES`)."""
-        row = self.logits[state]
-        z = row - row.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
+        return self._softmax()[0][state]
 
     def action_probs(self, state) -> np.ndarray:
-        return floor_distribution(self.raw_probs(state), self.floor)
+        return self._softmax()[1][state]
 
     def copy(self) -> "SoftmaxPolicy":
-        return SoftmaxPolicy(self.logits.copy(), self.floor)
+        return SoftmaxPolicy(self._logits, self._floor)
 
     @classmethod
     def uniform(cls, num_states: int, vocab_size: int,
@@ -68,9 +106,10 @@ class SoftmaxPolicy:
         return cls(np.log(np.clip(p, 1e-300, None)), floor)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TeacherPolicy:
-    """Frozen probability table, rows floored onto the simplex."""
+    """Frozen probability table, rows floored onto the simplex; `probs` is
+    read-only. Compared and hashed by identity, as cache keys need."""
 
     probs: np.ndarray
     floor: float = DEFAULT_FLOOR
@@ -82,10 +121,12 @@ class TeacherPolicy:
         if (p < 0).any():
             raise ValueError("probabilities must be nonnegative")
         sums = p.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=1e-9):
+        # np.allclose(sums, 1.0, atol=1e-9), without its set-up cost
+        if not (np.abs(sums - 1.0) <= 1e-9 + 1e-5).all():
             raise ValueError("teacher rows must sum to 1")
         p = p / sums[:, None]
-        self.probs = floor_distribution(p, self.floor)
+        object.__setattr__(self, "probs",
+                           read_only(floor_distribution(p, self.floor)))
 
     @property
     def num_states(self) -> int:

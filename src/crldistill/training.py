@@ -92,7 +92,8 @@ class AdamAscent:
             self.v = np.array(state["v"])
             self.step_count = int(state["step_count"])
 
-    def update(self, params: np.ndarray, grad: np.ndarray) -> None:
+    def update(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """One ascent step: the new parameters (`params` is not written)."""
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
@@ -101,7 +102,7 @@ class AdamAscent:
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
         mhat = self.m / (1.0 - self.beta1 ** self.step_count)
         vhat = self.v / (1.0 - self.beta2 ** self.step_count)
-        params += self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        return params + self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def state(self) -> dict:
         if self.m is None:
@@ -171,7 +172,8 @@ def train(mdp, teacher, config: TrainConfig,
             estimate = gradients.total_gradient(
                 student, teacher, trajs, config.spec,
                 baseline=gradients.BASELINE_GROUP, groups=groups)
-            optimizer.update(student.logits, estimate.table)
+            student.logits = optimizer.update(student.logits,
+                                              estimate.table)
             if not np.isfinite(student.logits).all():
                 raise TrainingDiverged(
                     f"non-finite parameters at epoch {epoch} batch {batch}"
@@ -184,7 +186,7 @@ def train(mdp, teacher, config: TrainConfig,
             "constraint_satisfaction": result.constraint_satisfaction,
             "violation_probability": result.violation_probability,
         }
-        checkpoints.append(Checkpoint(epoch, student.logits.copy(),
+        checkpoints.append(Checkpoint(epoch, student.logits,
                                       student.floor, optimizer.state(),
                                       dict(metrics)))
         if log_file is not None:
@@ -195,7 +197,7 @@ def train(mdp, teacher, config: TrainConfig,
 def resume(mdp, teacher, config: TrainConfig, checkpoint: Checkpoint,
            log_file=None, phase: int = 1):
     """Continue a run from a checkpoint; bit-identical to the original run."""
-    policy = SoftmaxPolicy(checkpoint.logits.copy(), checkpoint.floor)
+    policy = SoftmaxPolicy(checkpoint.logits, checkpoint.floor)
     return train(mdp, teacher, config, initial_policy=policy,
                  start_epoch=checkpoint.epoch + 1,
                  optimizer_state=copy.deepcopy(checkpoint.optimizer_state),

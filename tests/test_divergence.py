@@ -63,6 +63,12 @@ def test_unknown_kind_rejected():
         dv.per_state_cost(student, teacher, 0, "forward_kl")
 
 
+def bumped(logits, idx, value):
+    table = logits.copy()
+    table[idx] = value
+    return table
+
+
 @pytest.mark.parametrize("kind", dv.KINDS)
 def test_gradient_matches_finite_differences(kind):
     rng = np.random.default_rng(9)
@@ -73,14 +79,15 @@ def test_gradient_matches_finite_differences(kind):
         state = int(rng.integers(0, 2))
         analytic = dv.divergence_gradient(student, teacher, state, kind)
         step = 1e-6
-        fd = np.zeros_like(student.logits)
-        for idx in np.ndindex(*student.logits.shape):
-            saved = student.logits[idx]
-            student.logits[idx] = saved + step
+        logits = student.logits
+        fd = np.zeros_like(logits)
+        for idx in np.ndindex(*logits.shape):
+            saved = logits[idx]
+            student.logits = bumped(logits, idx, saved + step)
             hi = dv.per_state_cost(student, teacher, state, kind)
-            student.logits[idx] = saved - step
+            student.logits = bumped(logits, idx, saved - step)
             lo = dv.per_state_cost(student, teacher, state, kind)
-            student.logits[idx] = saved
+            student.logits = logits
             fd[idx] = (hi - lo) / (2 * step)
         np.testing.assert_allclose(analytic, fd, atol=5e-8)
         # gradient lives only in the acted-from row

@@ -338,6 +338,41 @@ def test_estimator_edge_batches():
                                          spec).table)
 
 
+def full_returns_to_go(rewards, discount):
+    """The column loop over every column, trailing all-zero ones included."""
+    out = np.empty_like(rewards)
+    g = np.zeros(len(rewards))
+    for t in range(rewards.shape[1] - 1, -1, -1):
+        g = rewards[:, t] + discount * g
+        out[:, t] = g
+    return out
+
+
+def test_returns_to_go_skips_trailing_zero_columns():
+    # horizon_cap-wide rollouts end well before their last columns; kl-only
+    # shapes -costs, so the rows hold -0.0 past their lengths
+    mdp = env.chain_with_distractors(decision_states=2, horizon_cap=6)
+    teacher = env.tension_teacher(mdp)
+    student = SoftmaxPolicy(np.random.default_rng(123).normal(
+        scale=0.7, size=(mdp.num_states, mdp.vocab_size)))
+    stream = np.random.default_rng(7)
+    skipped = negative_zeros = 0
+    for spec in specs(0.2):
+        for _ in range(10):
+            batch = TrajectoryBatch.stack(
+                [env.rollout(mdp, student, teacher, spec, stream)
+                 for _ in range(4)])
+            shaped = shaping.shape_rewards(batch, spec)
+            for rewards in (shaped, np.zeros((0, 6)), -np.zeros((3, 6))):
+                for discount in (1.0, 0.9):
+                    assert_same_bits(
+                        gradients._returns_to_go(rewards, discount),
+                        full_returns_to_go(rewards, discount))
+            skipped += not shaped[:, -1].any()
+            negative_zeros += np.signbit(shaped[~batch.live]).any()
+    assert skipped and negative_zeros
+
+
 def test_shaping_matches_scalar_loops():
     rng = np.random.default_rng(43)
     for _ in range(10):
@@ -530,6 +565,25 @@ def test_whole_table_equals_per_state(floor):
                     assert table[s].tobytes() == row[s].tobytes()
                     assert table[s].tobytes() == ref_gradient_row(
                         student, teacher, s, kind).tobytes()
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-8, 1e-3])
+def test_cached_softmax_rows_match_the_one_row_formula(floor):
+    # action_probs(s) is a row of the cached whole table, so the rows are
+    # compared with the softmax of each logit row on its own
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n, v = int(rng.integers(2, 7)), int(rng.integers(2, 13))
+        student = SoftmaxPolicy(rng.normal(scale=rng.choice([1.0, 40.0]),
+                                           size=(n, v)), floor=floor)
+        for s in range(n):
+            row = student.logits[s]
+            e = np.exp(row - row.max())
+            q = e / e.sum()
+            p = (q + floor) / (1.0 + v * floor) if floor else q
+            assert student.raw_probs(ALL_STATES)[s].tobytes() == q.tobytes()
+            assert student.action_probs(ALL_STATES)[s].tobytes() == \
+                p.tobytes()
 
 
 def test_assumptions_match_the_per_state_loop():

@@ -151,17 +151,16 @@ def test_log_lines_use_full_precision_floats():
 
 def test_adam_state_roundtrip():
     opt = training.AdamAscent(0.1)
-    params = np.zeros((2, 2))
-    opt.update(params, np.ones((2, 2)))
+    params = opt.update(np.zeros((2, 2)), np.ones((2, 2)))
+    assert (params != 0.0).all()
     revived = training.AdamAscent(0.1, state=opt.state())
-    p1, p2 = params.copy(), params.copy()
-    opt.update(p1, np.full((2, 2), 0.5))
-    revived.update(p2, np.full((2, 2), 0.5))
+    p1 = opt.update(params, np.full((2, 2), 0.5))
+    p2 = revived.update(params, np.full((2, 2), 0.5))
+    assert (p1 != params).all()
     np.testing.assert_array_equal(p1, p2)
     # the state of an optimizer that has not stepped restores a fresh one
     unstepped = training.AdamAscent(0.1, state=training.AdamAscent(0.1).state())
-    p3 = np.zeros((2, 2))
-    unstepped.update(p3, np.ones((2, 2)))
+    p3 = unstepped.update(np.zeros((2, 2)), np.ones((2, 2)))
     np.testing.assert_array_equal(p3, params)
 
 
