@@ -20,17 +20,24 @@ def _check_kind(kind: str) -> None:
 def divergence(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     """D_kind(p || q) over the last axis: one value per row of a table, or a
     0-d value for one distribution."""
+    # only a zero probability makes a log below warn (its term is masked
+    # out), so the error state is set just when one is present
+    if np.count_nonzero(p) == p.size and np.count_nonzero(q) == q.size:
+        return _divergence(p, q, kind)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _divergence(p, q, kind)
+
+
+def _divergence(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     # clamped at zero: rounding on near-identical rows can otherwise leak
     # tiny negative values into the (nonnegative) budget arithmetic
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == REVERSE_KL:
-            terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-            return np.maximum(terms.sum(axis=-1), 0.0)
-        m = 0.5 * (p + q)
-        left = np.where(p > 0, p * (np.log(p) - np.log(m)), 0.0)
-        right = np.where(q > 0, q * (np.log(q) - np.log(m)), 0.0)
-        return np.maximum(0.5 * (left.sum(axis=-1) + right.sum(axis=-1)),
-                          0.0)
+    if kind == REVERSE_KL:
+        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+        return np.maximum(terms.sum(axis=-1), 0.0)
+    m = 0.5 * (p + q)
+    left = np.where(p > 0, p * (np.log(p) - np.log(m)), 0.0)
+    right = np.where(q > 0, q * (np.log(q) - np.log(m)), 0.0)
+    return np.maximum(0.5 * (left.sum(axis=-1) + right.sum(axis=-1)), 0.0)
 
 
 def per_state_cost(student, teacher, state: int, kind: str = REVERSE_KL) -> float:
@@ -57,10 +64,11 @@ def divergence_gradient(student, teacher, state,
     E_{a~pi}[grad log pi(a|s) (1 + log pi(a|s) - log mu(a|s))], carried
     through the probability floor so it matches finite differences exactly.
     Nonzero only in the row for `state`; `policies.ALL_STATES` gives every
-    state's row at once. The whole table is built once per student logits,
-    teacher and kind (kept in `student.tables`, read-only), with the
-    per-state formulas along the last axis, so each row has the bits of a
-    one-row computation.
+    state's row at once (for a stacked student, every cell's rows against
+    the teacher's rows of their states). The whole table is built once per
+    student logits, teacher and kind (kept in `student.tables`, read-only),
+    with the per-state formulas along the last axis, so each row has the
+    bits of a one-row computation.
     """
     _check_kind(kind)
     key = ("divergence_gradient", teacher, kind)
@@ -68,7 +76,7 @@ def divergence_gradient(student, teacher, state,
     if table is None:
         q = student.raw_probs(ALL_STATES)
         p = student.action_probs(ALL_STATES)
-        mu = teacher.action_probs(ALL_STATES)
+        mu = teacher.rows(student.num_states)
         scale = 1.0 + student.vocab_size * student.floor
         with np.errstate(divide="ignore", invalid="ignore"):
             w = q * _grad_wrt_probs(p, mu, kind)

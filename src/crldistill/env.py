@@ -92,6 +92,27 @@ class TokenMdp:
         return (self.transition.tolist(), self.terminal.tolist(),
                 self.reward_of.tolist())
 
+    def rows(self, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`transition`, `terminal` and `reward_of` for a stack of `cells`
+        copies of the MDP, where row c * num_states + s is state s of cell c
+        and every successor stays in its cell: the tables themselves for one
+        cell, otherwise built once per count and read-only."""
+        if cells == 1:
+            return self.transition, self.terminal, self.reward_of
+        tables = self._stacks.get(cells)
+        if tables is None:
+            first = np.arange(cells) * self.num_states
+            successor = (self.transition + first[:, None, None]).reshape(
+                -1, self.vocab_size)
+            tables = self._stacks[cells] = (
+                read_only(successor), read_only(np.tile(self.terminal, cells)),
+                read_only(np.tile(self.reward_of, cells)))
+        return tables
+
+    @cached_property
+    def _stacks(self) -> dict:
+        return {}
+
     @cached_property
     def _tree(self) -> "_Steps":
         """The trajectory tree's policy-free arrays, built once (see
@@ -103,11 +124,14 @@ class TokenMdp:
 class TrajectoryBatch:
     """B trajectories as padded (B, T) arrays, the form the estimator uses.
 
-    Row k holds trajectory k's first `lengths[k]` steps: acting states,
-    tokens, task rewards of the states entered, and at the acting states the
-    budget cost and the penalty divergence against the teacher under the
-    acting student. Past a row's length every entry is 0. `ledgers` keeps
-    the budget ledgers that `shaping` builds for the batch, one per budget.
+    Row k holds trajectory k's first `lengths[k]` steps: acting states (the
+    rows of the acting student's table: the states themselves unless the
+    student stacks several cells), tokens, task rewards of the states
+    entered, and at the acting states the budget cost and the penalty
+    divergence against the teacher under the acting student. Past a row's
+    length every entry is 0. `ledgers` keeps the budget ledgers that
+    `shaping` builds for the batch, one per budget, and `blocks` the row
+    blocks that `block` made.
     """
 
     states: np.ndarray  # (B, T) int
@@ -118,6 +142,7 @@ class TrajectoryBatch:
     penalties: np.ndarray  # (B, T) float
     terminated: np.ndarray  # (B,) bool
     ledgers: dict = field(default_factory=dict, init=False, repr=False)
+    blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def live(self) -> np.ndarray:
@@ -126,6 +151,18 @@ class TrajectoryBatch:
 
     def __len__(self) -> int:
         return len(self.lengths)
+
+    def block(self, start: int, stop: int) -> "TrajectoryBatch":
+        """Rows start..stop-1 as a batch of views, made once per range and
+        kept, so that its ledgers are shared; the batch itself for all
+        rows."""
+        if (start, stop) == (0, len(self)):
+            return self
+        part = self.blocks.get((start, stop))
+        if part is None:
+            part = self.blocks[start, stop] = TrajectoryBatch(
+                *(getattr(self, name)[start:stop] for name in _ROW_FIELDS))
+        return part
 
     @classmethod
     def stack(cls, batches) -> "TrajectoryBatch":
@@ -136,8 +173,12 @@ class TrajectoryBatch:
         batches = list(batches)
         if len({b.states.shape[1] for b in batches}) != 1:
             raise ValueError("stack needs one or more equally wide batches")
-        return cls(*(np.concatenate([getattr(b, f.name) for b in batches])
-                     for f in fields(cls) if f.init))
+        return cls(*(np.concatenate([getattr(b, name) for b in batches])
+                     for name in _ROW_FIELDS))
+
+
+# the per-row arrays of a batch, in constructor order
+_ROW_FIELDS = tuple(f.name for f in fields(TrajectoryBatch) if f.init)
 
 
 def step(mdp: TokenMdp, state: int, token: int) -> tuple[int, float, bool]:
@@ -196,15 +237,16 @@ def state_tables(mdp, student, teacher, spec):
     """Per-state arrays of a fixed student: action probabilities
     (num_states, vocab_size), and the cost and penalty divergences against
     the teacher (num_states,), each computed over the whole table at once
-    with the per-state formulas. The penalty table is the cost table itself
-    when `spec.penalty_kind == spec.cost_kind`. Built once per student
+    with the per-state formulas (a stacked student's rows against the
+    teacher's rows of their states). The penalty table is the cost table
+    itself when `spec.penalty_kind == spec.cost_kind`. Built once per student
     logits, teacher and spec kinds, kept in `student.tables`, read-only.
     """
     key = ("state_tables", teacher, spec.cost_kind, spec.penalty_kind)
     tables = student.tables.get(key)
     if tables is None:
         probs = student.action_probs(ALL_STATES)
-        mu = teacher.action_probs(ALL_STATES)
+        mu = teacher.rows(student.num_states)
         cost = read_only(dv.divergence(probs, mu, spec.cost_kind))
         pen = cost if spec.penalty_kind == spec.cost_kind else \
             read_only(dv.divergence(probs, mu, spec.penalty_kind))
@@ -234,10 +276,12 @@ class _Steps(NamedTuple):
     rewards: np.ndarray
 
 
-def _task_steps(mdp, states, tokens, lengths, terminated) -> _Steps:
+def _task_steps(rows, states, tokens, lengths, terminated) -> _Steps:
+    """The steps with their `live` mask and task rewards, looked up in the
+    (transition, terminal, reward_of) `rows` that `states` index."""
+    successor, _, reward_of = rows
     live = np.arange(states.shape[1]) < lengths[:, None]
-    rewards = np.where(live, mdp.reward_of[mdp.transition[states, tokens]],
-                       0.0)
+    rewards = np.where(live, reward_of[successor[states, tokens]], 0.0)
     return _Steps(states, tokens, lengths, terminated, live, rewards)
 
 
@@ -255,39 +299,52 @@ def _lookup_batch(steps: _Steps, cost, pen) -> TrajectoryBatch:
 
 def rollout_batch(mdp, student, teacher, spec,
                   uniforms: np.ndarray) -> TrajectoryBatch:
-    """Sample one episode per row of `uniforms`, shape (B, horizon_cap).
+    """Sample one episode per row of `uniforms`, shape (B, horizon_cap), or
+    (C, B, horizon_cap) for a student that stacks C cells' tables (cell c's
+    state s is row c * num_states + s): then row b of block c is sampled by
+    cell c and is row c * B + b of the batch.
 
     Row k acts at step t on `uniforms[k, t]` with the token rule of
     `rollout`: the number of cumulative probabilities <= u, clipped to
     vocab_size - 1. A row filled with the first horizon_cap draws of a stream
     therefore gives the episode `rollout` samples from that stream. The
     student is fixed for the call, so all rows step together on its
-    cumulative-probability, cost and penalty tables.
+    cumulative-probability, cost and penalty tables and on `mdp.rows(C)`.
     """
     u = np.asarray(uniforms, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] != mdp.horizon_cap:
-        raise ValueError("uniforms must have shape (batch, horizon_cap)")
+    if u.ndim == 2:
+        u = u[None]
+    if u.ndim != 3 or u.shape[2] != mdp.horizon_cap:
+        raise ValueError("uniforms must have shape (batch, horizon_cap)"
+                         " or (cells, batch, horizon_cap)")
+    cells, count = u.shape[0], u.shape[0] * u.shape[1]
+    if student.num_states != cells * mdp.num_states:
+        raise ValueError(f"a student of {student.num_states} states cannot"
+                         f" sample {cells} cells of {mdp.num_states}")
+    u = u.reshape(count, mdp.horizon_cap)
+    rows = mdp.rows(cells)
+    successor, terminal, _ = rows
     _, cost, pen = state_tables(mdp, student, teacher, spec)
     cum = _cumulative(student)
 
-    count = u.shape[0]
     states = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
     tokens = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
     lengths = np.zeros(count, dtype=np.int64)
-    state = np.full(count, mdp.initial_state, dtype=np.int64)
+    state = np.repeat(np.arange(cells) * mdp.num_states + mdp.initial_state,
+                      count // cells)
     for t in range(mdp.horizon_cap):
-        rows = np.flatnonzero(~mdp.terminal[state])
-        if rows.size == 0:
+        running = np.flatnonzero(~terminal[state])
+        if running.size == 0:
             break
-        s = state[rows]
-        a = np.minimum((cum[s] <= u[rows, t, None]).sum(axis=1),
+        s = state[running]
+        a = np.minimum((cum[s] <= u[running, t, None]).sum(axis=1),
                        mdp.vocab_size - 1)
-        states[rows, t] = s
-        tokens[rows, t] = a
-        lengths[rows] = t + 1
-        state[rows] = mdp.transition[s, a]
-    return _lookup_batch(_task_steps(mdp, states, tokens, lengths,
-                                     mdp.terminal[state]), cost, pen)
+        states[running, t] = s
+        tokens[running, t] = a
+        lengths[running] = t + 1
+        state[running] = successor[s, a]
+    return _lookup_batch(_task_steps(rows, states, tokens, lengths,
+                                     terminal[state]), cost, pen)
 
 
 def _build_tree(mdp) -> _Steps:
@@ -318,7 +375,7 @@ def _build_tree(mdp) -> _Steps:
         lengths[rows] = t + 1
         state[rows] = mdp.transition[s, a]
     cut = lengths.max()
-    return _task_steps(mdp, states[:, :cut].copy(),
+    return _task_steps(mdp.rows(1), states[:, :cut].copy(),
                        tokens[:, :cut].copy(), lengths, mdp.terminal[state])
 
 

@@ -2,6 +2,7 @@
 # the explicit divergence-dependence term, and exact enumeration oracles.
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -55,23 +56,29 @@ def _credits(shaped, discount: float, credit: str) -> np.ndarray:
     raise ValueError(f"unknown credit mode {credit!r}")
 
 
-def _group_baselines(credits: np.ndarray, groups: list[list[int]],
+def _group_baselines(credits: np.ndarray, groups,
                      lengths: np.ndarray) -> np.ndarray:
     """Per step index, the mean credit over group members still running.
 
     Members are added in their listed order, one column per step, as a
     running scalar sum adds them; past a member's length its credit is 0,
-    which leaves the sum's bits unchanged. Groups are disjoint.
+    which leaves the sum's bits unchanged. Groups are disjoint: lists of
+    members, or the rows of a (G, size) array of equally large groups.
     """
-    if any(len(members) < 2 for members in groups):
+    if isinstance(groups, np.ndarray):
+        index, short = groups, groups.shape[1] < 2
+    else:
+        short = any(len(members) < 2 for members in groups)
+        size = max((len(members) for members in groups), default=0)
+        # (G, size) member rows; -1 pads a short group with an appended
+        # zero row
+        index = np.array([list(m) + [-1] * (size - len(m)) for m in groups],
+                         dtype=np.int64).reshape(len(groups), size)
+    if short:
         raise ValueError("group baseline requires groups of at least 2")
-    width = credits.shape[1]
-    size = max((len(members) for members in groups), default=0)
-    # (G, size) member rows; -1 pads a short group with an appended zero row
-    index = np.array([list(m) + [-1] * (size - len(m)) for m in groups],
-                     dtype=np.int64).reshape(len(groups), size)
+    width, size = credits.shape[1], index.shape[1]
     members = np.vstack([credits, np.zeros(width)])[index]
-    total = np.zeros((len(groups), width))
+    total = np.zeros((len(index), width))
     for j in range(size):
         total = total + members[:, j]
     running = np.append(lengths, 0)[index][..., None] > np.arange(width)
@@ -80,11 +87,40 @@ def _group_baselines(credits: np.ndarray, groups: list[list[int]],
     return base[:-1]
 
 
-def _weights(batch, weights: Sequence[float] | None) -> np.ndarray:
-    """Per-trajectory weights: 1/B each (the batch mean) unless given."""
+def _weights(batch, weights: Sequence[float] | None,
+             size: int | None = None) -> np.ndarray:
+    """Per-trajectory weights: 1/size each (the mean over each block of
+    `size` rows, by default the whole batch) unless given."""
     if weights is None:
-        return np.full(len(batch), 1.0 / max(len(batch), 1))
+        return np.full(len(batch), 1.0 / max(size or len(batch), 1))
     return np.asarray(weights, dtype=np.float64)
+
+
+def _spec_blocks(batch: TrajectoryBatch, spec):
+    """(spec, block of rows) per run of equal specs, and the rows per cell.
+
+    `spec` is one spec for the whole batch, or one per cell of a student
+    that stacks C cells' tables: the batch's rows are then C equal blocks in
+    cell order (as `env.rollout_batch` lays them out), and neighbouring
+    cells with equal specs form one block.
+    """
+    specs = [spec] if isinstance(spec, ConstrainedRewardSpec) else list(spec)
+    if len(specs) == 1:
+        return [(specs[0], batch)], len(batch)
+    size = len(batch) // max(len(specs), 1)
+    if size * len(specs) != len(batch):
+        raise ValueError(f"a batch of {len(batch)} rows does not split into"
+                         f" {len(specs)} cells")
+    blocks, start = [], 0
+    for cell_spec, run in itertools.groupby(specs):
+        stop = start + size * len(list(run))
+        blocks.append((cell_spec, batch.block(start, stop)))
+        start = stop
+    return blocks, size
+
+
+def _join(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _accumulate(shape, states: np.ndarray, minus: np.ndarray,
@@ -114,7 +150,7 @@ def _accumulate(shape, states: np.ndarray, minus: np.ndarray,
 
 def likelihood_ratio_term(student, batch: TrajectoryBatch, shaped,
                           baseline: str = BASELINE_NONE,
-                          groups: list[list[int]] | None = None,
+                          groups=None,
                           credit: str = CREDIT_TO_GO,
                           discount: float = 1.0,
                           weights: Sequence[float] | None = None) -> np.ndarray:
@@ -147,19 +183,32 @@ def explicit_dependence_term(student, teacher, batch: TrajectoryBatch,
                              weights: Sequence[float] | None = None) -> np.ndarray:
     """Minus the weighted, discounted divergence gradient on the steps whose
     shaped reward contains the divergence itself, as `shaping.term_ii_rule`
-    names them for the spec's mode."""
-    kind, coefficient, mask = shaping.term_ii_rule(spec)
-    if coefficient == 0.0:
+    names them for the spec's mode. `spec` may be one spec per cell of a
+    stacked student, as in `total_gradient`."""
+    blocks, size = _spec_blocks(batch, spec)
+    weights = _weights(batch, weights, size)
+    states, values = [], []
+    start = 0
+    for cell_spec, block in blocks:
+        rows = slice(start, start + len(block))
+        start = rows.stop
+        kind, coefficient, mask = shaping.term_ii_rule(cell_spec)
+        if coefficient == 0.0:
+            continue
+        flags = mask(block, cell_spec) if mask else block.live
+        # weight * coefficient, times the discount once per step, left to
+        # right
+        factors = np.full((len(block), block.states.shape[1] + 1),
+                          cell_spec.discount)
+        factors[:, 0] = weights[rows] * coefficient
+        scale = np.multiply.accumulate(factors, axis=1)[:, :-1]
+        steps = block.states[flags]
+        grads = dv.divergence_gradient(student, teacher, ALL_STATES, kind)
+        states.append(steps)
+        values.append(scale[flags][:, None] * grads[steps])
+    if not states:
         return np.zeros_like(student.logits)
-    flags = mask(batch, spec) if mask else batch.live
-    # weight * coefficient, times the discount once per step, left to right
-    factors = np.full((len(batch), batch.states.shape[1] + 1), spec.discount)
-    factors[:, 0] = _weights(batch, weights) * coefficient
-    scale = np.multiply.accumulate(factors, axis=1)[:, :-1]
-    states = batch.states[flags]
-    grads = dv.divergence_gradient(student, teacher, ALL_STATES, kind)
-    return _accumulate(student.logits.shape, states,
-                       scale[flags][:, None] * grads[states])
+    return _accumulate(student.logits.shape, _join(states), _join(values))
 
 
 def _credit_mode(spec: ConstrainedRewardSpec) -> str:
@@ -169,18 +218,30 @@ def _credit_mode(spec: ConstrainedRewardSpec) -> str:
 def total_gradient(student, teacher, trajectories,
                    spec: ConstrainedRewardSpec,
                    baseline: str = BASELINE_NONE,
-                   groups: list[list[int]] | None = None,
+                   groups=None,
                    weights: Sequence[float] | None = None) -> GradientEstimate:
     """Full ascent direction for the spec's mode: the mean over a sampled
     batch, or the expectation when `weights` are the trajectories'
     probabilities. `trajectories` is a `TrajectoryBatch`, or a list of
-    equally wide ones (such as `env.rollout` results), stacked into one."""
+    equally wide ones (such as `env.rollout` results), stacked into one.
+
+    `spec` may also be a sequence of C specs, one per cell of a student that
+    stacks C cells' tables (see `env.rollout_batch`): the batch's rows are
+    then C equal blocks, block c sampled by cell c and shaped, credited and
+    given term ii by its spec, and the default weights are 1/B for blocks of
+    B rows. Each term makes one np.add.at in each cell's loop order, so cell
+    c's rows of the result have the bits of a one-cell call on its block.
+    """
     batch = TrajectoryBatch.stack(trajectories)
-    shaped = shaping.shape_rewards(batch, spec)
-    term_i = likelihood_ratio_term(student, batch, shaped,
+    blocks, size = _spec_blocks(batch, spec)
+    weights = _weights(batch, weights, size)
+    # each block's credits, passed on as step rewards so they stay as built
+    credits = _join([_credits(shaping.shape_rewards(block, cell_spec),
+                              cell_spec.discount, _credit_mode(cell_spec))
+                     for cell_spec, block in blocks])
+    term_i = likelihood_ratio_term(student, batch, credits,
                                    baseline=baseline, groups=groups,
-                                   credit=_credit_mode(spec),
-                                   discount=spec.discount, weights=weights)
+                                   credit=CREDIT_STEP, weights=weights)
     term_ii = explicit_dependence_term(student, teacher, batch, spec,
                                        weights=weights)
     return GradientEstimate(term_i + term_ii, term_i, term_ii, len(batch))

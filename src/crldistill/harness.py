@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import io
 import json
 import os
 import tempfile
@@ -16,7 +17,8 @@ from . import env as env_mod
 from .evaluation import evaluate_policy
 from .policies import TeacherPolicy, save_policy
 from .shaping import ConstrainedRewardSpec
-from .training import TrainConfig, method_label, train, warm_start
+from .training import (TrainConfig, TrainingDiverged, method_label,
+                       train_grid)
 
 SCHEMA_VERSION = 1
 METRIC_COLUMNS = ("method", "seed", "task_success_rate", "mean_kl",
@@ -238,7 +240,13 @@ def _cell_name(label: str, seed: int) -> str:
 
 def run_experiment(config: ExperimentConfig, force: bool = False,
                    output_dir: str | None = None) -> list[MetricsRecord]:
-    """Train and evaluate every (method, seed) cell; write artifacts on disk."""
+    """Train and evaluate every (method, seed) cell; write artifacts on disk.
+
+    The cells train together (`training.train_grid`: one warm start per
+    seed, then every cell as one stack), and each cell's artifacts are
+    those of training it alone. A diverged cell fails alone: the others'
+    artifacts are written in manifest order, then its TrainingDiverged is
+    raised, before the reports."""
     out = output_dir or config.output_dir
     runs_dir = os.path.join(out, "runs")
     if os.path.exists(os.path.join(out, "metrics.csv")) and not force:
@@ -252,30 +260,37 @@ def run_experiment(config: ExperimentConfig, force: bool = False,
     _atomic_write(os.path.join(out, "manifest.json"),
                   json.dumps({"cells": manifest}, indent=2) + "\n")
 
-    records = []
-    for spec, seed in cells:
-        label = method_label(spec)
-        cell = _cell_name(label, seed)
-        train_config = TrainConfig(spec=spec, seed=seed, **config.train_kw)
-        start = warm_start(config.mdp, config.teacher, train_config,
-                           epochs_kl=config.warm_start_epochs)
-        with _atomic_file(os.path.join(runs_dir, cell + ".log")) as log_file:
-            policy, checkpoints = train(config.mdp, config.teacher,
-                                        train_config, initial_policy=start,
-                                        log_file=log_file)
+    logs = [io.StringIO() for _ in cells]
+    outcomes = train_grid(
+        config.mdp, config.teacher,
+        [TrainConfig(spec=spec, seed=seed, **config.train_kw)
+         for spec, seed in cells],
+        epochs_kl=config.warm_start_epochs, log_files=logs)
+    records, failure = [], None
+    for (spec, seed), cell, log, outcome in zip(cells, manifest, logs,
+                                                outcomes):
+        if isinstance(outcome, TrainingDiverged):
+            failure = failure or outcome
+            continue
+        policy, checkpoints = outcome
+        _atomic_write(os.path.join(runs_dir, cell + ".log"), log.getvalue())
         with _atomic_file(os.path.join(runs_dir, cell + ".npz"), "wb") as fh:
             save_policy(policy, fh)
-        result = evaluate_policy(config.mdp, policy, config.teacher, spec,
-                                 eval_seed=seed)
-        record = MetricsRecord(label, seed, result.task_success_rate,
-                               result.mean_kl,
-                               result.constraint_satisfaction,
-                               result.violation_probability,
+        # the last epoch evaluated this policy with this spec and seed
+        if checkpoints:
+            metrics = checkpoints[-1].metrics
+        else:
+            metrics = dataclasses.asdict(evaluate_policy(
+                config.mdp, policy, config.teacher, spec, eval_seed=seed))
+        record = MetricsRecord(method_label(spec), seed,
+                               *(metrics[k] for k in METRIC_COLUMNS[2:]),
                                curve=[c.metrics for c in checkpoints])
         _atomic_write(os.path.join(runs_dir, cell + ".json"),
                       json.dumps({**record.row(), "curve": record.curve},
                                  indent=2) + "\n")
         records.append(record)
+    if failure is not None:
+        raise failure
     emit_reports(out)
     return records
 

@@ -139,6 +139,14 @@ class TeacherPolicy:
     def action_probs(self, state) -> np.ndarray:
         return self.probs[state]
 
+    def rows(self, count: int) -> np.ndarray:
+        """`probs` repeated down to `count` rows, one copy per cell of a
+        student that stacks count // num_states cells; `probs` itself for
+        one cell."""
+        if count == len(self.probs):
+            return self.probs
+        return np.tile(self.probs, (count // len(self.probs), 1))
+
 
 def teacher_copy(teacher: TeacherPolicy, floor: float | None = None) -> SoftmaxPolicy:
     """Student whose rows match the teacher's up to re-flooring (divergence ~ floor^2)."""

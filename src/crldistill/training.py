@@ -76,7 +76,8 @@ def method_label(spec: ConstrainedRewardSpec) -> str:
 
 
 class AdamAscent:
-    """Adaptive-moment gradient ascent (bias-corrected).
+    """Adaptive-moment gradient ascent (bias-corrected), elementwise, so a
+    stack of cells' tables steps each entry as its own table would.
 
     `state` is what `state()` returned, before or after the first update.
     """
@@ -104,10 +105,11 @@ class AdamAscent:
         vhat = self.v / (1.0 - self.beta2 ** self.step_count)
         return params + self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def state(self) -> dict:
+    def state(self, rows=slice(None)) -> dict:
+        """The state to restore, of the given rows of the parameters."""
         if self.m is None:
             return {"m": 0, "v": 0, "step_count": 0}
-        return {"m": self.m.copy(), "v": self.v.copy(),
+        return {"m": self.m[rows].copy(), "v": self.v[rows].copy(),
                 "step_count": self.step_count}
 
 
@@ -124,15 +126,28 @@ def _epoch_uniforms(config: TrainConfig, horizon: int, epoch: int,
     return block.reshape(config.batches_per_epoch, config.batch_size, horizon)
 
 
+def _stacked_uniforms(configs: list, horizon: int, epoch: int,
+                      phase: int) -> np.ndarray:
+    """`_epoch_uniforms` of each cell, shape (batches, cells, batch_size,
+    horizon); cells at one seed share their streams, drawn once."""
+    by_seed = {}
+    for config in configs:
+        if config.seed not in by_seed:
+            by_seed[config.seed] = _epoch_uniforms(config, horizon, epoch,
+                                                   phase)
+    return np.stack([by_seed[c.seed] for c in configs], axis=1)
+
+
 def _sample_batch(mdp, student, teacher, config: TrainConfig,
                   uniforms: np.ndarray):
-    """One training batch from its (batch_size, horizon_cap) uniforms, one
-    group per run of rollouts_per_group rows."""
-    size = config.rollouts_per_group
+    """One training batch from its (batch_size, horizon_cap) uniforms, or
+    (cells, batch_size, horizon_cap) for a stacked student, and its groups
+    as a (groups, rollouts_per_group) array: one group per run of
+    rollouts_per_group rows."""
     trajectories = env_mod.rollout_batch(mdp, student, teacher, config.spec,
                                          uniforms)
-    groups = [list(range(g * size, (g + 1) * size))
-              for g in range(config.groups_per_batch)]
+    groups = np.arange(len(trajectories)).reshape(
+        -1, config.rollouts_per_group)
     return trajectories, groups
 
 
@@ -142,6 +157,103 @@ def _log_line(epoch: int, label: str, metrics: dict) -> str:
             f" mean_kl={metrics['mean_kl']!r}"
             f" cs={metrics['constraint_satisfaction']!r}"
             f" violation={metrics['violation_probability']!r}\n")
+
+
+def _check_stack(configs: list, starts: list) -> None:
+    """Stacked cells share every train setting but the spec and the seed,
+    the sampler's divergence kinds and the student floor."""
+    first = configs[0]
+    kinds = (first.spec.cost_kind, first.spec.penalty_kind)
+    for config in configs:
+        if (replace(config, spec=first.spec, seed=first.seed) != first
+                or (config.spec.cost_kind, config.spec.penalty_kind)
+                != kinds):
+            raise ValueError("stacked cells must share their train settings"
+                             " and divergence kinds")
+    if len({p.floor for p in starts}) != 1:
+        raise ValueError("stacked cells must share the student floor")
+
+
+def train_cells(mdp, teacher, configs: list,
+                initial_policies: list | None = None,
+                start_epoch: int = 0,
+                optimizer_state: dict | None = None,
+                log_files: list | None = None,
+                phase: int = 1) -> list:
+    """Train C cells as one stacked problem; per cell, what `train` returns
+    for it alone, bit for bit, or the TrainingDiverged it raises alone.
+
+    The cells share the MDP, the teacher, every train setting but the spec
+    and the seed, the specs' divergence kinds and the student floor. The
+    student stacks their logit tables (cell c's state s in row
+    c * num_states + s), so a batch of every cell is one `rollout_batch`,
+    one `total_gradient` with per-cell specs and one Adam step. Stream keys,
+    evaluation, checkpoints and log lines (`log_files[c]`, written after the
+    epoch's evaluation) stay per cell. A diverged cell leaves the stack.
+    `optimizer_state` is the stacked optimizer's (a one-cell checkpoint's).
+    """
+    if not configs:
+        return []
+    count = len(configs)
+    starts = [SoftmaxPolicy.uniform(mdp.num_states, mdp.vocab_size)
+              if p is None else p
+              for p in (initial_policies or [None] * count)]
+    _check_stack(configs, starts)
+    first, floor, size = configs[0], starts[0].floor, mdp.num_states
+    student = SoftmaxPolicy(np.concatenate([p.logits for p in starts]),
+                            floor)
+    optimizer = AdamAscent(first.learning_rate, state=optimizer_state)
+    labels = [method_label(c.spec) for c in configs]
+    logs = log_files or [None] * count
+    policies = [p.copy() for p in starts]
+    checkpoints: list[list[Checkpoint]] = [[] for _ in configs]
+    failures: dict[int, TrainingDiverged] = {}
+    cells = list(range(count))  # the cells still training, in stack order
+
+    for epoch in range(start_epoch, first.epochs):
+        uniforms = _stacked_uniforms([configs[c] for c in cells],
+                                     mdp.horizon_cap, epoch, phase)
+        for batch in range(first.batches_per_epoch):
+            trajs, groups = _sample_batch(mdp, student, teacher, first,
+                                          uniforms[batch])
+            estimate = gradients.total_gradient(
+                student, teacher, trajs, [configs[c].spec for c in cells],
+                baseline=gradients.BASELINE_GROUP, groups=groups)
+            student.logits = optimizer.update(student.logits,
+                                              estimate.table)
+            if not np.isfinite(student.logits).all():
+                finite = np.isfinite(student.logits).reshape(
+                    len(cells), -1).all(axis=1)
+                for c in np.asarray(cells)[~finite].tolist():
+                    failures[c] = TrainingDiverged(
+                        f"non-finite parameters at epoch {epoch} batch"
+                        f" {batch} (method {labels[c]})", checkpoints[c])
+                rows = np.repeat(finite, size)
+                student.logits = student.logits[rows]
+                optimizer.m, optimizer.v = optimizer.m[rows], optimizer.v[rows]
+                uniforms = uniforms[:, finite]
+                cells = [c for c, ok in zip(cells, finite) if ok]
+                if not cells:
+                    return [failures[c] for c in range(count)]
+        for k, c in enumerate(cells):
+            rows = slice(k * size, (k + 1) * size)
+            policy = SoftmaxPolicy(student.logits[rows], floor)
+            result = evaluate_policy(mdp, policy, teacher, configs[c].spec,
+                                     eval_seed=configs[c].seed)
+            metrics = {
+                "task_success_rate": result.task_success_rate,
+                "mean_kl": result.mean_kl,
+                "constraint_satisfaction": result.constraint_satisfaction,
+                "violation_probability": result.violation_probability,
+            }
+            checkpoints[c].append(Checkpoint(epoch, policy.logits, floor,
+                                             optimizer.state(rows),
+                                             dict(metrics)))
+            if logs[c] is not None:
+                logs[c].write(_log_line(epoch, labels[c], metrics))
+            policies[c] = policy
+    return [failures.get(c) or (policies[c], checkpoints[c])
+            for c in range(count)]
 
 
 def train(mdp, teacher, config: TrainConfig,
@@ -154,44 +266,14 @@ def train(mdp, teacher, config: TrainConfig,
 
     The RNG stream of every rollout is derived from
     (seed, phase, epoch, batch, group, rollout), so a run resumed from a
-    checkpoint reproduces the original bit-for-bit.
+    checkpoint reproduces the original bit-for-bit. This is `train_cells`
+    with one cell.
     """
-    if initial_policy is None:
-        student = SoftmaxPolicy.uniform(mdp.num_states, mdp.vocab_size)
-    else:
-        student = initial_policy.copy()
-    optimizer = AdamAscent(config.learning_rate, state=optimizer_state)
-    label = method_label(config.spec)
-    checkpoints: list[Checkpoint] = []
-
-    for epoch in range(start_epoch, config.epochs):
-        uniforms = _epoch_uniforms(config, mdp.horizon_cap, epoch, phase)
-        for batch in range(config.batches_per_epoch):
-            trajs, groups = _sample_batch(mdp, student, teacher, config,
-                                          uniforms[batch])
-            estimate = gradients.total_gradient(
-                student, teacher, trajs, config.spec,
-                baseline=gradients.BASELINE_GROUP, groups=groups)
-            student.logits = optimizer.update(student.logits,
-                                              estimate.table)
-            if not np.isfinite(student.logits).all():
-                raise TrainingDiverged(
-                    f"non-finite parameters at epoch {epoch} batch {batch}"
-                    f" (method {label})", checkpoints)
-        result = evaluate_policy(mdp, student, teacher, config.spec,
-                                 eval_seed=config.seed)
-        metrics = {
-            "task_success_rate": result.task_success_rate,
-            "mean_kl": result.mean_kl,
-            "constraint_satisfaction": result.constraint_satisfaction,
-            "violation_probability": result.violation_probability,
-        }
-        checkpoints.append(Checkpoint(epoch, student.logits,
-                                      student.floor, optimizer.state(),
-                                      dict(metrics)))
-        if log_file is not None:
-            log_file.write(_log_line(epoch, label, metrics))
-    return student, checkpoints
+    (result,) = train_cells(mdp, teacher, [config], [initial_policy],
+                            start_epoch, optimizer_state, [log_file], phase)
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result
 
 
 def resume(mdp, teacher, config: TrainConfig, checkpoint: Checkpoint,
@@ -204,17 +286,44 @@ def resume(mdp, teacher, config: TrainConfig, checkpoint: Checkpoint,
                  log_file=log_file, phase=phase)
 
 
+def _warm_config(config: TrainConfig, epochs_kl: int) -> TrainConfig:
+    """The warm start's run: kl-only, which reads no budget, penalty,
+    boundary_tol, lagrange_weight or penalty kind, so they are dropped and
+    cells that differ only there (or in mode) have equal warm configs."""
+    spec = ConstrainedRewardSpec(cost_kind=config.spec.cost_kind,
+                                 penalty_kind=config.spec.cost_kind,
+                                 mode=shaping.KL_ONLY,
+                                 discount=config.spec.discount)
+    return replace(config, spec=spec, epochs=epochs_kl)
+
+
 def warm_start(mdp, teacher, config: TrainConfig, epochs_kl: int = 3,
                initial_policy: SoftmaxPolicy | None = None) -> SoftmaxPolicy:
     """Distillation-only bootstrap: run the pure divergence objective first."""
     if epochs_kl < 0:
         raise ValueError("epochs_kl must be nonnegative")
-    if epochs_kl == 0:
-        if initial_policy is None:
-            return SoftmaxPolicy.uniform(mdp.num_states, mdp.vocab_size)
-        return initial_policy.copy()
-    warm_config = replace(config, spec=config.spec.with_mode(shaping.KL_ONLY),
-                          epochs=epochs_kl)
-    policy, _ = train(mdp, teacher, warm_config,
+    policy, _ = train(mdp, teacher, _warm_config(config, epochs_kl),
                       initial_policy=initial_policy, phase=0)
     return policy
+
+
+def train_grid(mdp, teacher, configs: list, epochs_kl: int = 3,
+               log_files: list | None = None) -> list:
+    """`warm_start` then `train` for every config, as `train_cells` returns
+    them: the distinct warm starts (one per seed) train as one stack, then
+    the cells as another. A cell whose warm start diverged gets that
+    TrainingDiverged."""
+    warm = [_warm_config(c, epochs_kl) for c in configs]
+    distinct = list(dict.fromkeys(warm))
+    by_warm = dict(zip(distinct, train_cells(mdp, teacher, distinct,
+                                             phase=0)))
+    outcomes = [by_warm[w] for w in warm]
+    ready = [k for k, o in enumerate(outcomes)
+             if not isinstance(o, TrainingDiverged)]
+    logs = log_files or [None] * len(configs)
+    trained = train_cells(mdp, teacher, [configs[k] for k in ready],
+                          [outcomes[k][0] for k in ready],
+                          log_files=[logs[k] for k in ready])
+    for k, outcome in zip(ready, trained):
+        outcomes[k] = outcome
+    return outcomes

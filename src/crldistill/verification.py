@@ -257,15 +257,17 @@ def check_violation_trend(mdp=None, teacher=None,
     if mdp is None or teacher is None:
         mdp, teacher = tension_suite()
     grid = sorted(n_grid)
+    configs = [training.TrainConfig(
+        spec=ConstrainedRewardSpec(penalty=float(n), **TENSION_SPEC_KW),
+        seed=seed, **(train_kw or TENSION_TRAIN_KW)) for n in grid]
     violations = []
-    for n in grid:
-        spec = ConstrainedRewardSpec(penalty=float(n), **TENSION_SPEC_KW)
-        config = training.TrainConfig(
-            spec=spec, seed=seed, **(train_kw or TENSION_TRAIN_KW))
-        start = training.warm_start(mdp, teacher, config)
-        policy, _ = training.train(mdp, teacher, config,
-                                   initial_policy=start)
-        result = evaluate_policy(mdp, policy, teacher, spec, eval_seed=seed)
+    # one shared warm start, then the penalties train as one stack
+    for config, outcome in zip(configs, training.train_grid(mdp, teacher,
+                                                            configs)):
+        if isinstance(outcome, training.TrainingDiverged):
+            raise outcome
+        result = evaluate_policy(mdp, outcome[0], teacher, config.spec,
+                                 eval_seed=seed)
         violations.append(result.violation_probability)
     worst_increase = max((hi - lo for lo, hi in
                           zip(violations, violations[1:])), default=0.0)

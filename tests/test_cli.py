@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import yaml
 
@@ -112,15 +113,31 @@ def test_negative_seed_override_fails_before_writing(tmp_path, capsys):
 
 def test_diverged_training_leaves_no_temp_log(tmp_path, capsys,
                                              monkeypatch):
-    def diverges(*args, **kwargs):
-        raise TrainingDiverged("non-finite parameters", [])
+    def diverges(mdp, teacher, configs, **kwargs):
+        return [TrainingDiverged("non-finite parameters", [])
+                for _ in configs]
 
-    monkeypatch.setattr(harness, "train", diverges)
+    monkeypatch.setattr(harness, "train_grid", diverges)
     out = tmp_path / "results"
     config = write_config(tmp_path, output_dir=str(out))
     assert main(["run", str(config)]) == EXIT_RUN_FAILURE
     assert "training diverged" in capsys.readouterr().err
     assert list((out / "runs").iterdir()) == []
+
+
+def test_diverging_cell_exits_with_run_failure(tmp_path, capsys):
+    out = tmp_path / "results"
+    config = write_config(tmp_path, output_dir=str(out), methods=[
+        {"mode": "unaugmented"},
+        {"mode": "lagrangian", "lagrange_weight": 1e308}])
+    with np.errstate(all="ignore"):
+        assert main(["run", str(config)]) == EXIT_RUN_FAILURE
+    assert "non-finite parameters at epoch 0 batch 0" in \
+        capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+    assert sorted(p.name for p in (out / "runs").iterdir()) == [
+        f"unaugmented__seed{s}{ext}" for s in (0, 1)
+        for ext in (".json", ".log", ".npz")]
 
 
 def test_report_without_runs_fails(tmp_path, capsys):

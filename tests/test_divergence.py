@@ -111,3 +111,23 @@ def test_max_cost_bound_dominates():
         student = SoftmaxPolicy(rng.normal(scale=5.0, size=(3, 4)))
         for s in range(3):
             assert dv.per_state_cost(student, teacher, s) <= bound + 1e-9
+
+
+def test_error_state_is_set_only_for_zero_entries():
+    rng = np.random.default_rng(5)
+    p, q = rng.dirichlet(np.ones(3), size=(2, 5))
+    zero_p, zero_q = p.copy(), q.copy()
+    zero_p[1] = (0.0, 0.25, 0.75)
+    zero_q[3] = (0.5, 0.0, 0.5)
+    zero_p[3] = (0.5, 0.0, 0.5)
+    for kind in dv.KINDS:
+        # strictly positive tables: no log can warn, so no error state
+        with np.errstate(all="raise"):
+            positive = dv.divergence(p, q, kind)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert positive.tobytes() == dv._divergence(p, q, kind).tobytes()
+        # a zero entry takes a log of 0, which must stay quiet
+        with np.errstate(all="raise"):
+            zeros = dv.divergence(zero_p, zero_q, kind)
+        assert np.isfinite(zeros).all()
+        assert zeros[[0, 2, 4]].tobytes() == positive[[0, 2, 4]].tobytes()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crldistill import env, policies, shaping
-from crldistill.divergence import JENSEN_SHANNON, REVERSE_KL
+from crldistill.divergence import (JENSEN_SHANNON, REVERSE_KL,
+                                   divergence_gradient)
 from crldistill.env import EnumerationCapExceeded, TokenMdp
 from crldistill.policies import SoftmaxPolicy, TeacherPolicy
 from crldistill.shaping import ConstrainedRewardSpec
@@ -147,6 +148,42 @@ def test_rollout_batch_matches_rollout_per_key(mode, penalty_kind):
     assert not full.all() and full.any()
     if penalty_kind != spec.cost_kind:
         assert (batch.costs != batch.penalties).any()
+
+
+@pytest.mark.parametrize("kind", [REVERSE_KL, JENSEN_SHANNON])
+def test_stacked_student_rows_equal_each_cells_tables(kind):
+    # a student that stacks C cells' logit tables (cell c's state s in row
+    # c * S + s) samples and scores each cell as that cell alone would
+    mdp = env.chain_with_distractors(decision_states=2, horizon_cap=6)
+    teacher = env.tension_teacher(mdp)
+    rng = np.random.default_rng(4)
+    n = mdp.num_states
+    cells = [SoftmaxPolicy(rng.normal(scale=2.0, size=(n, 3)))
+             for _ in range(3)]
+    stack = SoftmaxPolicy(np.concatenate([c.logits for c in cells]))
+    spec = ConstrainedRewardSpec(cost_kind=kind, penalty_kind=REVERSE_KL)
+    uniforms = rng.random((3, 16, mdp.horizon_cap))
+    batch = env.rollout_batch(mdp, stack, teacher, spec, uniforms)
+    assert len(batch) == 48
+    stacked_tables = env.state_tables(mdp, stack, teacher, spec)
+    grads = divergence_gradient(stack, teacher, policies.ALL_STATES, kind)
+    for c, cell in enumerate(cells):
+        rows = slice(n * c, n * (c + 1))
+        for got, want in zip(stacked_tables,
+                             env.state_tables(mdp, cell, teacher, spec)):
+            assert got[rows].tobytes() == want.tobytes()
+        assert grads[rows].tobytes() == divergence_gradient(
+            cell, teacher, policies.ALL_STATES, kind).tobytes()
+        alone = env.rollout_batch(mdp, cell, teacher, spec, uniforms[c])
+        part = batch.block(16 * c, 16 * (c + 1))
+        # the stacked batch names cell c's states by their stacked rows
+        assert part.states.tobytes() == np.where(
+            alone.live, alone.states + n * c, 0).tobytes()
+        for name in set(BATCH_FIELDS) - {"states"}:
+            assert getattr(part, name).tobytes() == \
+                getattr(alone, name).tobytes(), name
+    with pytest.raises(ValueError, match="cannot sample 2 cells"):
+        env.rollout_batch(mdp, stack, teacher, spec, uniforms[:2])
 
 
 def test_sampling_rule_on_cumulative_boundaries():

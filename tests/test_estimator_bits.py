@@ -535,6 +535,29 @@ def test_group_sums_keep_the_member_order():
                     groups=groups)
 
 
+def test_group_array_equals_group_lists():
+    # training passes its equal groups as one (G, size) index array
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        mdp, student, teacher = random_instance(rng)
+        for spec in specs(float(rng.uniform(0.05, 1.0))):
+            stream = np.random.default_rng(rng.integers(2**32))
+            trajs = [env.rollout(mdp, student, teacher, spec, stream)
+                     for _ in range(12)]
+            lists = check_estimator(student, teacher, trajs, spec,
+                                    groups=[[0, 1, 2], [3, 4, 5],
+                                            [6, 7, 8], [9, 10, 11]])
+            array = gradients.total_gradient(
+                student, teacher, trajs, spec,
+                baseline=gradients.BASELINE_GROUP,
+                groups=np.arange(12).reshape(4, 3))
+            assert_same_bits(array.table, lists.table)
+    with pytest.raises(ValueError, match="at least 2"):
+        gradients.total_gradient(student, teacher, trajs, spec,
+                                 baseline=gradients.BASELINE_GROUP,
+                                 groups=np.arange(12).reshape(12, 1))
+
+
 @pytest.mark.parametrize("floor", [0.0, 1e-8, 1e-3])
 def test_whole_table_equals_per_state(floor):
     # vocab above 8 takes numpy's unrolled pairwise-sum path

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import yaml
 
-from crldistill import harness
+from crldistill import harness, training
+from crldistill.evaluation import evaluate_policy
 from crldistill.harness import (ConfigError, ExperimentConfig, MetricsRecord,
                                 MissingRunsError, emit_reports,
                                 load_metric_rows, pareto_front,
                                 run_experiment, write_theorem_reports)
+from crldistill.policies import save_policy
 from crldistill.verification import TheoremReport
 
 SMALL_CONFIG = {
@@ -287,3 +289,101 @@ def test_metrics_record_row():
     row = record.row()
     assert tuple(row) == harness.METRIC_COLUMNS
     assert row["seed"] == 0 and row["method"] == "unaugmented"
+
+
+# ---------------------------------------------------------------------------
+# The cell axis against one cell at a time
+
+
+def serial_run(config, out):
+    """The cells in manifest order, each warm-started, trained and evaluated
+    alone and written as `run_experiment` writes it; a diverged cell stops
+    the run, as it did before cells trained together."""
+    runs = out / "runs"
+    runs.mkdir(parents=True)
+    cells = [(spec, seed) for spec in config.method_specs
+             for seed in config.seeds]
+    names = [harness._cell_name(training.method_label(spec), seed)
+             for spec, seed in cells]
+    (out / "manifest.json").write_text(
+        json.dumps({"cells": names}, indent=2) + "\n")
+    for (spec, seed), name in zip(cells, names):
+        train_config = training.TrainConfig(spec=spec, seed=seed,
+                                            **config.train_kw)
+        start = training.warm_start(config.mdp, config.teacher, train_config,
+                                    config.warm_start_epochs)
+        log = io.StringIO()
+        policy, checkpoints = training.train(
+            config.mdp, config.teacher, train_config, initial_policy=start,
+            log_file=log)
+        (runs / (name + ".log")).write_text(log.getvalue())
+        save_policy(policy, str(runs / (name + ".npz")))
+        result = evaluate_policy(config.mdp, policy, config.teacher, spec,
+                                 eval_seed=seed)
+        record = MetricsRecord(training.method_label(spec), seed,
+                               result.task_success_rate, result.mean_kl,
+                               result.constraint_satisfaction,
+                               result.violation_probability)
+        (runs / (name + ".json")).write_text(json.dumps(
+            {**record.row(), "curve": [c.metrics for c in checkpoints]},
+            indent=2) + "\n")
+    emit_reports(str(out))
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"seeds": [0, 3, 1], "methods": [
+        {"mode": "kl-only"}, {"mode": "unaugmented", "budget": 0.1},
+        {"mode": "lagrangian", "lagrange_weight": 0.5},
+        {"mode": "saute", "penalty": 5.0}]},
+    {"train": {**SMALL_CONFIG["train"], "epochs": 0}},
+    {"train": {**SMALL_CONFIG["train"], "warm_start_epochs": 0}},
+], ids=["small", "mixed", "no-epochs", "no-warm-start"])
+def test_run_equals_one_cell_at_a_time(tmp_path, overrides):
+    config = ExperimentConfig.from_dict(small_config(**overrides))
+    run_experiment(config, output_dir=str(tmp_path / "stacked"))
+    serial_run(config, tmp_path / "serial")
+    stacked = tree_bytes(tmp_path / "stacked")
+    assert stacked == tree_bytes(tmp_path / "serial")
+    assert len(stacked) == 5 + 3 * len(config.method_specs) * len(
+        config.seeds)
+
+
+def test_diverging_cell_fails_alone(tmp_path):
+    # lagrange_weight 1e308 overflows term ii: the cell's first Adam step
+    # leaves non-finite parameters, as it does when it trains alone
+    methods = [{"mode": "unaugmented"},
+               {"mode": "lagrangian", "lagrange_weight": 1e308},
+               {"mode": "reward-only"}]
+    config = ExperimentConfig.from_dict(small_config(methods=methods))
+    with np.errstate(all="ignore"):
+        with pytest.raises(training.TrainingDiverged) as stacked:
+            run_experiment(config, output_dir=str(tmp_path / "stacked"))
+        with pytest.raises(training.TrainingDiverged) as serial:
+            serial_run(config, tmp_path / "serial")
+    assert str(stacked.value) == str(serial.value) == (
+        "non-finite parameters at epoch 0 batch 0"
+        " (method lagrangian-1e+308)")
+    stacked_runs = tree_bytes(tmp_path / "stacked" / "runs")
+    serial_runs = tree_bytes(tmp_path / "serial" / "runs")
+    # every cell before the failed one, as the one-at-a-time run wrote it
+    assert serial_runs and all(stacked_runs[name] == data
+                               for name, data in serial_runs.items())
+    assert sorted(serial_runs) == [f"unaugmented__seed{s}{ext}"
+                                   for s in (0, 1)
+                                   for ext in (".json", ".log", ".npz")]
+    # the cells after it are complete and are the ones a run without the
+    # failed cell writes
+    later = {name: data for name, data in stacked_runs.items()
+             if name not in serial_runs}
+    assert sorted(later) == [f"reward-only__seed{s}{ext}" for s in (0, 1)
+                             for ext in (".json", ".log", ".npz")]
+    rest = ExperimentConfig.from_dict(small_config(methods=methods[2:]))
+    serial_run(rest, tmp_path / "rest")
+    assert later == tree_bytes(tmp_path / "rest" / "runs")
+    assert not (tmp_path / "stacked" / "metrics.csv").exists()

@@ -1,14 +1,21 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crldistill import env, shaping, training
+from crldistill import divergence as dv
+from crldistill import env, harness, shaping, training
 from crldistill.divergence import per_state_cost
 from crldistill.policies import SoftmaxPolicy
 from crldistill.shaping import ConstrainedRewardSpec
-from crldistill.training import (TrainConfig, method_label, resume, train,
+from crldistill.training import (TrainConfig, TrainingDiverged, method_label,
+                                 resume, train, train_cells, train_grid,
                                  warm_start)
+
+from conftest import TENSION_CONFIG
 
 
 def suite():
@@ -95,8 +102,8 @@ def test_sample_batch_groups_and_stream_keys():
     assert uniforms.shape == (10, 12, mdp.horizon_cap)
     trajs, groups = training._sample_batch(mdp, student, teacher, config,
                                            uniforms[5])
-    assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
-    for g, members in enumerate(groups):
+    assert groups.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    for g, members in enumerate(groups.tolist()):
         for i, k in enumerate(members):
             ref = env.rollout(mdp, student, teacher, config.spec,
                               np.random.default_rng([3, 1, 2, 5, g, i]))
@@ -169,3 +176,161 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(spec=spec, groups_per_batch=0)
     assert TrainConfig(spec=spec).batch_size == 64
+
+
+# ---------------------------------------------------------------------------
+# Warm starts shared per seed and cells trained as one stack
+
+
+def assert_same_run(stacked, serial, stacked_log="", serial_log=""):
+    """A stacked cell's (policy, checkpoints) and log have the bytes of the
+    one-cell run."""
+    (policy, ckpts), (ref_policy, ref_ckpts) = stacked, serial
+    assert policy.logits.tobytes() == ref_policy.logits.tobytes()
+    assert policy.floor == ref_policy.floor
+    assert len(ckpts) == len(ref_ckpts)
+    for a, b in zip(ckpts, ref_ckpts):
+        assert (a.epoch, a.floor, a.metrics) == (b.epoch, b.floor, b.metrics)
+        assert a.logits.tobytes() == b.logits.tobytes()
+        assert a.optimizer_state["step_count"] == \
+            b.optimizer_state["step_count"]
+        for key in ("m", "v"):
+            assert np.asarray(a.optimizer_state[key]).tobytes() == \
+                np.asarray(b.optimizer_state[key]).tobytes()
+    assert stacked_log == serial_log
+
+
+def test_warm_start_ignores_everything_but_seed_kind_and_settings():
+    # the claim that lets a grid share one warm start per seed: a kl-only
+    # run reads neither the mode nor budget, penalty, boundary_tol or
+    # lagrange_weight, so each cell's own kl-only run has the same bytes
+    config = harness.ExperimentConfig.from_file(TENSION_CONFIG)
+    specs = list(config.method_specs) + [
+        config.method_specs[0].with_mode(shaping.UNAUGMENTED, **kw)
+        for kw in ({"budget": 0.05}, {"penalty": 3.0},
+                   {"boundary_tol": 0.0},
+                   {"budget": 2.0, "penalty": 1e3, "boundary_tol": 0.5})]
+    train_kw = {**config.train_kw, "epochs": 1}
+    for seed in (0, 3):
+        starts = []
+        for spec in specs:
+            cell = TrainConfig(spec=spec, seed=seed, **train_kw)
+            own, _ = train(config.mdp, config.teacher,
+                           replace(cell, spec=spec.with_mode(shaping.KL_ONLY),
+                                   epochs=config.warm_start_epochs), phase=0)
+            shared = warm_start(config.mdp, config.teacher, cell,
+                                config.warm_start_epochs)
+            assert shared.logits.tobytes() == own.logits.tobytes()
+            starts.append(shared.logits.tobytes())
+        assert len(set(starts)) == 1
+
+
+CELL_SPECS = st.builds(
+    dict,
+    mode=st.sampled_from(shaping.MODES),
+    budget=st.sampled_from([0.05, 0.2, 0.35, 1.0]),
+    penalty=st.sampled_from([1.0, 20.0, 500.0]),
+    boundary_tol=st.sampled_from([0.0, 0.02, 0.3]),
+    lagrange_weight=st.sampled_from([0.0, 0.01, 1.0, 10.0]),
+    discount=st.sampled_from([1.0, 0.9]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells=st.lists(st.tuples(CELL_SPECS, st.integers(0, 3)),
+                      min_size=1, max_size=5),
+       kinds=st.sampled_from([(dv.REVERSE_KL, dv.REVERSE_KL),
+                              (dv.REVERSE_KL, dv.JENSEN_SHANNON),
+                              (dv.JENSEN_SHANNON, dv.JENSEN_SHANNON)]),
+       start_seed=st.integers(0, 2**16))
+def test_stacked_cells_equal_one_cell_runs(cells, kinds, start_seed):
+    mdp = env.chain_with_distractors(decision_states=2, horizon_cap=6)
+    teacher = env.tension_teacher(mdp)
+    rng = np.random.default_rng(start_seed)
+    configs = [TrainConfig(
+        spec=ConstrainedRewardSpec(cost_kind=kinds[0], penalty_kind=kinds[1],
+                                   **spec_kw),
+        seed=seed, epochs=2, batches_per_epoch=2, groups_per_batch=2,
+        rollouts_per_group=3, learning_rate=0.05) for spec_kw, seed in cells]
+    starts = [SoftmaxPolicy(rng.normal(size=(mdp.num_states, 3)))
+              for _ in configs]
+    logs = [io.StringIO() for _ in configs]
+    stacked = train_cells(mdp, teacher, configs, starts, log_files=logs)
+    for config, start, log, outcome in zip(configs, starts, logs, stacked):
+        serial_log = io.StringIO()
+        serial = train(mdp, teacher, config, initial_policy=start,
+                       log_file=serial_log)
+        assert_same_run(outcome, serial, log.getvalue(),
+                        serial_log.getvalue())
+
+
+def test_stacked_resume_equals_one_cell_resume():
+    mdp, teacher = suite()
+    configs = [quick_config(epochs=4, budget=b) for b in (0.1, 0.35)]
+    configs.append(replace(quick_config(shaping.SAUTE, epochs=4), seed=2))
+    full = train_cells(mdp, teacher, configs)
+    mid = [ckpts[1] for _, ckpts in full]
+    # the stack's optimizer state holds the cells' rows in stack order
+    state = {key: np.concatenate([c.optimizer_state[key] for c in mid])
+             for key in ("m", "v")}
+    resumed = train_cells(
+        mdp, teacher, configs,
+        [SoftmaxPolicy(c.logits, c.floor) for c in mid], start_epoch=2,
+        optimizer_state={**state, "step_count": 8})
+    for config, checkpoint, outcome in zip(configs, mid, resumed):
+        assert_same_run(outcome, resume(mdp, teacher, config, checkpoint))
+
+
+def test_stack_rejects_cells_that_do_not_share_settings():
+    mdp, teacher = suite()
+    base = quick_config()
+    for other in (replace(base, learning_rate=0.1),
+                  replace(base, epochs=4),
+                  replace(base, spec=replace(base.spec,
+                                             cost_kind=dv.JENSEN_SHANNON))):
+        with pytest.raises(ValueError, match="share"):
+            train_cells(mdp, teacher, [base, other])
+    floors = [SoftmaxPolicy.uniform(mdp.num_states, mdp.vocab_size, floor=f)
+              for f in (1e-8, 1e-3)]
+    with pytest.raises(ValueError, match="floor"):
+        train_cells(mdp, teacher, [base, base], floors)
+    assert train_cells(mdp, teacher, []) == []
+
+
+def test_a_diverging_cell_fails_alone():
+    mdp, teacher = suite()
+    configs = [quick_config(),
+               quick_config(shaping.LAGRANGIAN, lagrange_weight=1e308),
+               replace(quick_config(shaping.KL_ONLY), seed=1)]
+    with np.errstate(all="ignore"):
+        outcomes = train_cells(mdp, teacher, configs)
+        with pytest.raises(TrainingDiverged) as serial:
+            train(mdp, teacher, configs[1])
+    failed = outcomes[1]
+    assert isinstance(failed, TrainingDiverged)
+    assert str(failed) == str(serial.value) == \
+        "non-finite parameters at epoch 0 batch 0 (method lagrangian-1e+308)"
+    assert failed.checkpoints == serial.value.checkpoints == []
+    for k in (0, 2):
+        assert_same_run(outcomes[k], train(mdp, teacher, configs[k]))
+
+
+def test_train_grid_shares_one_warm_start_per_seed(monkeypatch):
+    mdp, teacher = suite()
+    configs = [replace(quick_config(mode, budget=b), seed=seed)
+               for mode, b in ((shaping.UNAUGMENTED, 0.35),
+                               (shaping.LAGRANGIAN, 0.2))
+               for seed in (0, 1)]
+    calls = []
+    real = training.train_cells
+
+    def counting(mdp, teacher, configs, *args, **kwargs):
+        calls.append(len(configs))
+        return real(mdp, teacher, configs, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train_cells", counting)
+    outcomes = train_grid(mdp, teacher, configs, epochs_kl=2)
+    assert calls == [2, 4]  # two seeds' warm starts, then four cells
+    for config, outcome in zip(configs, outcomes):
+        start = warm_start(mdp, teacher, config, epochs_kl=2)
+        assert_same_run(outcome, train(mdp, teacher, config,
+                                       initial_policy=start))
