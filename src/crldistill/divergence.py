@@ -17,15 +17,20 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown divergence kind {kind!r}; expected one of {KINDS}")
 
 
+def _quiet_logs(formula, p: np.ndarray, q: np.ndarray, *args):
+    """`formula(p, q, *args)`, which takes logs of p and q entries. Only a
+    zero probability makes such a log warn, so the error state that keeps
+    it quiet is set just when p or q has one."""
+    if np.count_nonzero(p) == p.size and np.count_nonzero(q) == q.size:
+        return formula(p, q, *args)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return formula(p, q, *args)
+
+
 def divergence(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     """D_kind(p || q) over the last axis: one value per row of a table, or a
     0-d value for one distribution."""
-    # only a zero probability makes a log below warn (its term is masked
-    # out), so the error state is set just when one is present
-    if np.count_nonzero(p) == p.size and np.count_nonzero(q) == q.size:
-        return _divergence(p, q, kind)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _divergence(p, q, kind)
+    return _quiet_logs(_divergence, p, q, kind)
 
 
 def _divergence(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
@@ -56,6 +61,14 @@ def _grad_wrt_probs(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     return 0.5 * (np.log(p) - np.log(m))
 
 
+def _gradient_table(p: np.ndarray, mu: np.ndarray, q: np.ndarray,
+                    scale: float, kind: str) -> np.ndarray:
+    """dD/dlogits per row, from the floored (p) and raw (q) student rows,
+    the teacher rows mu and the floor's scale 1 + vocab_size * floor."""
+    w = q * _grad_wrt_probs(p, mu, kind)
+    return (w - q * w.sum(axis=-1, keepdims=True)) / scale
+
+
 def divergence_gradient(student, teacher, state,
                         kind: str = REVERSE_KL) -> np.ndarray:
     """Exact gradient of per_state_cost w.r.t. the student logits.
@@ -74,13 +87,10 @@ def divergence_gradient(student, teacher, state,
     key = ("divergence_gradient", teacher, kind)
     table = student.tables.get(key)
     if table is None:
-        q = student.raw_probs(ALL_STATES)
-        p = student.action_probs(ALL_STATES)
-        mu = teacher.rows(student.num_states)
-        scale = 1.0 + student.vocab_size * student.floor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = q * _grad_wrt_probs(p, mu, kind)
-            table = (w - q * w.sum(axis=-1, keepdims=True)) / scale
+        table = _quiet_logs(_gradient_table, student.action_probs(ALL_STATES),
+                            teacher.rows(student.num_states),
+                            student.raw_probs(ALL_STATES),
+                            1.0 + student.vocab_size * student.floor, kind)
         student.tables[key] = read_only(table)
     if state is ALL_STATES:
         return table

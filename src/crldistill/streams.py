@@ -45,28 +45,35 @@ def uniform_block(prefix, suffixes, horizon: int) -> np.ndarray:
     horizon = operator.index(horizon)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    count = keys.shape[0]
-    words = [np.full(count, w, dtype=np.uint32)
-             for entry in prefix for w in _int_words(entry)]
-    words.extend(keys.T.astype(np.uint32))
-    pool = _mix_entropy(words, count)
-    state_hi, state_lo, inc_hi, inc_lo = _generate_state(pool)
-
-    # PCG64 seeding: inc = (inc << 1) | 1, state = (inc + seed) * M + inc
-    inc_hi = (inc_hi << 1) | (inc_lo >> 63)
-    inc_lo = (inc_lo << 1) | 1
-    hi, lo = _add128(inc_hi, inc_lo, state_hi, state_lo)
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-
-    out = np.empty((count, horizon), dtype=np.float64)
+    hi, lo, inc_hi, inc_lo = _seed_pcg64(prefix, keys)
+    out = np.empty((keys.shape[0], horizon), dtype=np.float64)
     for t in range(horizon):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        _lcg_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR output, then the top 53 bits as a double in [0, 1)
         x = hi ^ lo
         rot = hi >> 58
         x = (x >> rot) | (x << ((64 - rot) & 63))
         out[:, t] = (x >> 11).astype(np.float64) * _DOUBLE_SCALE
     return out
+
+
+def _seed_pcg64(prefix, keys: np.ndarray):
+    """PCG64's seeded state and increment per key, as (state_hi, state_lo,
+    inc_hi, inc_lo) uint64 arrays; the mixing's temporaries are freed on
+    return, before the draws allocate theirs."""
+    count = keys.shape[0]
+    words = [np.full(count, w, dtype=np.uint32)
+             for entry in prefix for w in _int_words(entry)]
+    words.extend(keys.T.astype(np.uint32))
+    state_hi, state_lo, inc_hi, inc_lo = _generate_state(
+        _mix_entropy(words, count))
+
+    # PCG64 seeding: inc = (inc << 1) | 1, state = (inc + seed) * M + inc
+    inc_hi = (inc_hi << 1) | (inc_lo >> 63)
+    inc_lo = (inc_lo << 1) | 1
+    hi, lo = _add128(inc_hi, inc_lo, state_hi, state_lo)
+    _lcg_step(hi, lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
 
 
 def _int_words(value) -> list[int]:
@@ -142,16 +149,28 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo), lo
 
 
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """state * multiplier + inc modulo 2**128, on (high, low) uint64 arrays.
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> None:
+    """state = state * multiplier + inc modulo 2**128, in place on the
+    (high, low) uint64 arrays, with few temporaries.
 
     The high word of the 64x64-bit product lo * multiplier_lo is built from
     32-bit halves; the other partial products only matter modulo 2**64.
     """
     m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    a0, a1 = lo & _MASK32, lo >> 32
-    p00, p01, p10, p11 = a0 * m0, a0 * m1, a1 * m0, a1 * m1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return _add128(carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO,
-                   lo * _PCG_MULT_LO, inc_hi, inc_lo)
+    mid, carry = lo & _MASK32, lo >> 32  # a0, a1: the halves of lo
+    p01, p10 = mid * m1, carry * m0
+    mid *= m0  # p00
+    mid >>= 32
+    mid += p01 & _MASK32
+    mid += p10 & _MASK32
+    carry *= m1  # p11
+    carry += p01 >> 32
+    carry += p10 >> 32
+    carry += mid >> 32
+    hi *= _PCG_MULT_LO
+    hi += carry
+    hi += lo * _PCG_MULT_HI
+    lo *= _PCG_MULT_LO
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo  # the carry out of the low word

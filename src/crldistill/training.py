@@ -17,6 +17,13 @@ from .shaping import ConstrainedRewardSpec
 
 TOY_LEARNING_RATE = 5e-2
 
+# Rollout streams per `streams.uniform_block` call: training draws each
+# seed's uniforms a block of whole epochs at a time (14 epochs of 640
+# streams in the shipped config), since each call has a fixed cost of a
+# few hundred small array operations. The call's working set peaks near
+# 150 B per stream at horizon 8, about 1.4 MB here.
+STREAMS_PER_DRAW = 9000
+
 
 class TrainingDiverged(RuntimeError):
     """Parameters left the finite range; carries the last finite checkpoints."""
@@ -113,29 +120,45 @@ class AdamAscent:
                 "step_count": self.step_count}
 
 
-def _epoch_uniforms(config: TrainConfig, horizon: int, epoch: int,
+def _epoch_uniforms(config: TrainConfig, horizon: int, epochs: range,
                     phase: int) -> np.ndarray:
-    """All rollout uniforms of one epoch, shape (batches, batch_size, horizon).
+    """All rollout uniforms of a run of epochs, shape (epochs, batches,
+    batch_size, horizon), in one `uniform_block` call.
 
-    Row g * rollouts_per_group + i of batch b is the first `horizon` draws of
-    the stream keyed (seed, phase, epoch, b, g, i).
+    Row g * rollouts_per_group + i of batch b of epoch e is the first
+    `horizon` draws of the stream keyed (seed, phase, e, b, g, i).
     """
-    keys = np.indices((config.batches_per_epoch, config.groups_per_batch,
-                       config.rollouts_per_group)).reshape(3, -1).T
-    block = streams.uniform_block((config.seed, phase, epoch), keys, horizon)
-    return block.reshape(config.batches_per_epoch, config.batch_size, horizon)
+    keys = np.indices((len(epochs), config.batches_per_epoch,
+                       config.groups_per_batch,
+                       config.rollouts_per_group)).reshape(4, -1).T
+    keys[:, 0] += epochs.start
+    block = streams.uniform_block((config.seed, phase), keys, horizon)
+    return block.reshape(len(epochs), config.batches_per_epoch,
+                         config.batch_size, horizon)
 
 
-def _stacked_uniforms(configs: list, horizon: int, epoch: int,
-                      phase: int) -> np.ndarray:
-    """`_epoch_uniforms` of each cell, shape (batches, cells, batch_size,
-    horizon); cells at one seed share their streams, drawn once."""
-    by_seed = {}
+def _stacked_uniforms(configs: list, horizon: int, epoch: int, phase: int,
+                      blocks: dict) -> np.ndarray:
+    """Epoch `epoch`'s `_epoch_uniforms` of each cell, shape (batches,
+    cells, batch_size, horizon).
+
+    Cells at one seed share their streams. `blocks` maps a seed to the
+    epochs drawn last for it and their uniforms; a seed whose block does
+    not hold `epoch` draws the next `STREAMS_PER_DRAW // streams per epoch`
+    epochs (at least one) from `epoch` on, so a resumed run starts a block
+    at its first epoch.
+    """
     for config in configs:
-        if config.seed not in by_seed:
-            by_seed[config.seed] = _epoch_uniforms(config, horizon, epoch,
-                                                   phase)
-    return np.stack([by_seed[c.seed] for c in configs], axis=1)
+        if config.seed in blocks and epoch in blocks[config.seed][0]:
+            continue
+        blocks.pop(config.seed, None)  # the spent block, freed before a draw
+        per_epoch = config.batches_per_epoch * config.batch_size
+        epochs = range(epoch, min(
+            epoch + max(1, STREAMS_PER_DRAW // per_epoch), config.epochs))
+        blocks[config.seed] = (epochs, _epoch_uniforms(config, horizon,
+                                                       epochs, phase))
+    return np.stack([blocks[c.seed][1][epoch - blocks[c.seed][0].start]
+                     for c in configs], axis=1)
 
 
 def _sample_batch(mdp, student, teacher, config: TrainConfig,
@@ -189,7 +212,10 @@ def train_cells(mdp, teacher, configs: list,
     c * num_states + s), so a batch of every cell is one `rollout_batch`,
     one `total_gradient` with per-cell specs and one Adam step. Stream keys,
     evaluation, checkpoints and log lines (`log_files[c]`, written after the
-    epoch's evaluation) stay per cell. A diverged cell leaves the stack.
+    epoch's evaluation) stay per cell. Each seed's uniforms are drawn a
+    block of epochs at a time (`_stacked_uniforms`), and each epoch's stack
+    is taken from the blocks of the cells still training, so a diverged
+    cell leaves the stack at once.
     `optimizer_state` is the stacked optimizer's (a one-cell checkpoint's).
     """
     if not configs:
@@ -209,10 +235,11 @@ def train_cells(mdp, teacher, configs: list,
     checkpoints: list[list[Checkpoint]] = [[] for _ in configs]
     failures: dict[int, TrainingDiverged] = {}
     cells = list(range(count))  # the cells still training, in stack order
+    blocks = {}  # seed -> (epochs, uniforms): its current block of draws
 
     for epoch in range(start_epoch, first.epochs):
         uniforms = _stacked_uniforms([configs[c] for c in cells],
-                                     mdp.horizon_cap, epoch, phase)
+                                     mdp.horizon_cap, epoch, phase, blocks)
         for batch in range(first.batches_per_epoch):
             trajs, groups = _sample_batch(mdp, student, teacher, first,
                                           uniforms[batch])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crldistill import divergence as dv
-from crldistill.policies import SoftmaxPolicy, TeacherPolicy
+from crldistill.policies import ALL_STATES, SoftmaxPolicy, TeacherPolicy
 
 # KL((1/2,1/2) || (3/4,1/4)) = 0.5*ln(2/3) + 0.5*ln(2), worked by hand.
 HAND_KL = 0.14384103622589045
@@ -130,4 +130,28 @@ def test_error_state_is_set_only_for_zero_entries():
         with np.errstate(all="raise"):
             zeros = dv.divergence(zero_p, zero_q, kind)
         assert np.isfinite(zeros).all()
+        assert zeros[[0, 2, 4]].tobytes() == positive[[0, 2, 4]].tobytes()
+    # the gradient table takes logs of the student's and teacher's rows;
+    # with floor 0, a very negative logit gives the student a zero entry
+    logits = rng.normal(size=(5, 3))
+    zero_logits = logits.copy()
+    zero_logits[1, 0] = -1e4
+    teacher = TeacherPolicy(q, floor=0.0)
+    zero_teacher = TeacherPolicy(zero_q, floor=0.0)
+    for kind in dv.KINDS:
+        student = SoftmaxPolicy(logits, floor=0.0)
+        with np.errstate(all="raise"):
+            positive = dv.divergence_gradient(student, teacher, ALL_STATES,
+                                              kind)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reference = dv._gradient_table(
+                student.action_probs(ALL_STATES), teacher.probs,
+                student.raw_probs(ALL_STATES), 1.0, kind)
+        assert positive.tobytes() == reference.tobytes()
+        zero_student = SoftmaxPolicy(zero_logits, floor=0.0)
+        with np.errstate(under="ignore"):  # the softmax's own underflow
+            assert zero_student.action_probs(1)[0] == 0.0
+        with np.errstate(all="raise"):
+            zeros = dv.divergence_gradient(zero_student, zero_teacher,
+                                           ALL_STATES, kind)
         assert zeros[[0, 2, 4]].tobytes() == positive[[0, 2, 4]].tobytes()

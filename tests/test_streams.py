@@ -46,8 +46,8 @@ def test_shipped_config_epoch_block_matches_default_rng():
                                         seed=config.seeds[-1],
                                         **config.train_kw)
     horizon = config.mdp.horizon_cap
-    block = training._epoch_uniforms(train_config, horizon, epoch=39,
-                                     phase=1)
+    (block,) = training._epoch_uniforms(train_config, horizon,
+                                        range(39, 40), phase=1)
     assert block.shape == (10, 64, horizon)
     keys = np.indices((10, 8, 8)).reshape(3, -1).T
     assert_bits_equal(block.reshape(-1, horizon),

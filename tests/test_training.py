@@ -30,6 +30,25 @@ def quick_config(mode=shaping.UNAUGMENTED, epochs=3, **spec_kw):
                        learning_rate=3e-2)
 
 
+def at_each_block_length(monkeypatch, config, run):
+    """Call `run()`, which returns a list of `train_cells` outcomes, with
+    each seed's streams drawn 1 and 3 epochs at a time (of `config`'s
+    epochs) and at the shipped STREAMS_PER_DRAW; every call's outcomes
+    must have the bytes of the 1-epoch call's."""
+    per_epoch = config.batches_per_epoch * config.batch_size
+    results = []
+    for epochs in (1, 3, None):
+        with monkeypatch.context() as patch:
+            if epochs is not None:
+                patch.setattr(training, "STREAMS_PER_DRAW",
+                              epochs * per_epoch)
+            results.append(run())
+    for result in results[1:]:
+        assert len(result) == len(results[0])
+        for outcome, reference in zip(result, results[0]):
+            assert_same_outcome(outcome, reference)
+
+
 def test_method_label():
     base = ConstrainedRewardSpec()
     assert method_label(base) == "unaugmented"
@@ -41,13 +60,18 @@ def test_method_label():
     assert method_label(base.with_mode(shaping.KL_ONLY)) == "kl-only"
 
 
-def test_training_is_deterministic():
+def test_training_is_deterministic(monkeypatch):
     mdp, teacher = suite()
     config = quick_config()
-    p1, c1 = train(mdp, teacher, config)
-    p2, c2 = train(mdp, teacher, config)
-    np.testing.assert_array_equal(p1.logits, p2.logits)
-    assert [c.metrics for c in c1] == [c.metrics for c in c2]
+
+    def run():
+        p1, c1 = train(mdp, teacher, config)
+        p2, c2 = train(mdp, teacher, config)
+        np.testing.assert_array_equal(p1.logits, p2.logits)
+        assert [c.metrics for c in c1] == [c.metrics for c in c2]
+        return [(p1, c1)]
+
+    at_each_block_length(monkeypatch, config, run)
 
 
 def test_seed_changes_the_run():
@@ -61,17 +85,23 @@ def test_seed_changes_the_run():
     assert not np.array_equal(p1.logits, p2.logits)
 
 
-def test_resume_is_bit_identical():
+def test_resume_is_bit_identical(monkeypatch):
     mdp, teacher = suite()
     config = quick_config(epochs=4)
-    full_policy, full_ckpts = train(mdp, teacher, config)
-    resumed_policy, resumed_ckpts = resume(mdp, teacher, config,
-                                           full_ckpts[1])
-    np.testing.assert_array_equal(full_policy.logits, resumed_policy.logits)
-    for a, b in zip(full_ckpts[2:], resumed_ckpts):
-        assert a.epoch == b.epoch
-        np.testing.assert_array_equal(a.logits, b.logits)
-        assert a.metrics == b.metrics
+
+    def run():
+        full_policy, full_ckpts = train(mdp, teacher, config)
+        resumed_policy, resumed_ckpts = resume(mdp, teacher, config,
+                                               full_ckpts[1])
+        np.testing.assert_array_equal(full_policy.logits,
+                                      resumed_policy.logits)
+        for a, b in zip(full_ckpts[2:], resumed_ckpts):
+            assert a.epoch == b.epoch
+            np.testing.assert_array_equal(a.logits, b.logits)
+            assert a.metrics == b.metrics
+        return [(full_policy, full_ckpts), (resumed_policy, resumed_ckpts)]
+
+    at_each_block_length(monkeypatch, config, run)
 
 
 def test_resume_keeps_the_student_floor():
@@ -97,8 +127,8 @@ def test_sample_batch_groups_and_stream_keys():
                          groups_per_batch=3, rollouts_per_group=4)
     student = SoftmaxPolicy(np.random.default_rng(0).normal(
         size=(mdp.num_states, mdp.vocab_size)))
-    uniforms = training._epoch_uniforms(config, mdp.horizon_cap, epoch=2,
-                                        phase=1)
+    (uniforms,) = training._epoch_uniforms(config, mdp.horizon_cap,
+                                           range(2, 3), phase=1)
     assert uniforms.shape == (10, 12, mdp.horizon_cap)
     trajs, groups = training._sample_batch(mdp, student, teacher, config,
                                            uniforms[5])
@@ -188,6 +218,22 @@ def assert_same_run(stacked, serial, stacked_log="", serial_log=""):
     (policy, ckpts), (ref_policy, ref_ckpts) = stacked, serial
     assert policy.logits.tobytes() == ref_policy.logits.tobytes()
     assert policy.floor == ref_policy.floor
+    assert_same_checkpoints(ckpts, ref_ckpts)
+    assert stacked_log == serial_log
+
+
+def assert_same_outcome(outcome, reference):
+    """Two `train_cells` outcomes have the same bytes: a run's policy and
+    checkpoints, or a failure's message and checkpoints."""
+    if isinstance(reference, TrainingDiverged):
+        assert isinstance(outcome, TrainingDiverged)
+        assert str(outcome) == str(reference)
+        assert_same_checkpoints(outcome.checkpoints, reference.checkpoints)
+    else:
+        assert_same_run(outcome, reference)
+
+
+def assert_same_checkpoints(ckpts, ref_ckpts):
     assert len(ckpts) == len(ref_ckpts)
     for a, b in zip(ckpts, ref_ckpts):
         assert (a.epoch, a.floor, a.metrics) == (b.epoch, b.floor, b.metrics)
@@ -197,7 +243,6 @@ def assert_same_run(stacked, serial, stacked_log="", serial_log=""):
         for key in ("m", "v"):
             assert np.asarray(a.optimizer_state[key]).tobytes() == \
                 np.asarray(b.optimizer_state[key]).tobytes()
-    assert stacked_log == serial_log
 
 
 def test_warm_start_ignores_everything_but_seed_kind_and_settings():
@@ -263,21 +308,30 @@ def test_stacked_cells_equal_one_cell_runs(cells, kinds, start_seed):
                         serial_log.getvalue())
 
 
-def test_stacked_resume_equals_one_cell_resume():
+def test_stacked_resume_equals_one_cell_resume(monkeypatch):
     mdp, teacher = suite()
     configs = [quick_config(epochs=4, budget=b) for b in (0.1, 0.35)]
     configs.append(replace(quick_config(shaping.SAUTE, epochs=4), seed=2))
-    full = train_cells(mdp, teacher, configs)
-    mid = [ckpts[1] for _, ckpts in full]
-    # the stack's optimizer state holds the cells' rows in stack order
-    state = {key: np.concatenate([c.optimizer_state[key] for c in mid])
-             for key in ("m", "v")}
-    resumed = train_cells(
-        mdp, teacher, configs,
-        [SoftmaxPolicy(c.logits, c.floor) for c in mid], start_epoch=2,
-        optimizer_state={**state, "step_count": 8})
-    for config, checkpoint, outcome in zip(configs, mid, resumed):
-        assert_same_run(outcome, resume(mdp, teacher, config, checkpoint))
+    # a seed of 2**32 or more spans several words of its streams' keys
+    configs.append(replace(quick_config(epochs=4, budget=0.2),
+                           seed=2**32 + 5))
+
+    def run():
+        full = train_cells(mdp, teacher, configs)
+        mid = [ckpts[1] for _, ckpts in full]
+        # the stack's optimizer state holds the cells' rows in stack order
+        state = {key: np.concatenate([c.optimizer_state[key] for c in mid])
+                 for key in ("m", "v")}
+        resumed = train_cells(
+            mdp, teacher, configs,
+            [SoftmaxPolicy(c.logits, c.floor) for c in mid], start_epoch=2,
+            optimizer_state={**state, "step_count": 8})
+        for config, checkpoint, outcome in zip(configs, mid, resumed):
+            assert_same_run(outcome, resume(mdp, teacher, config,
+                                            checkpoint))
+        return full + resumed
+
+    at_each_block_length(monkeypatch, configs[0], run)
 
 
 def test_stack_rejects_cells_that_do_not_share_settings():
@@ -296,22 +350,28 @@ def test_stack_rejects_cells_that_do_not_share_settings():
     assert train_cells(mdp, teacher, []) == []
 
 
-def test_a_diverging_cell_fails_alone():
+def test_a_diverging_cell_fails_alone(monkeypatch):
     mdp, teacher = suite()
     configs = [quick_config(),
                quick_config(shaping.LAGRANGIAN, lagrange_weight=1e308),
                replace(quick_config(shaping.KL_ONLY), seed=1)]
-    with np.errstate(all="ignore"):
-        outcomes = train_cells(mdp, teacher, configs)
-        with pytest.raises(TrainingDiverged) as serial:
-            train(mdp, teacher, configs[1])
-    failed = outcomes[1]
-    assert isinstance(failed, TrainingDiverged)
-    assert str(failed) == str(serial.value) == \
-        "non-finite parameters at epoch 0 batch 0 (method lagrangian-1e+308)"
-    assert failed.checkpoints == serial.value.checkpoints == []
-    for k in (0, 2):
-        assert_same_run(outcomes[k], train(mdp, teacher, configs[k]))
+
+    def run():
+        with np.errstate(all="ignore"):
+            outcomes = train_cells(mdp, teacher, configs)
+            with pytest.raises(TrainingDiverged) as serial:
+                train(mdp, teacher, configs[1])
+        failed = outcomes[1]
+        assert isinstance(failed, TrainingDiverged)
+        assert str(failed) == str(serial.value) == (
+            "non-finite parameters at epoch 0 batch 0"
+            " (method lagrangian-1e+308)")
+        assert failed.checkpoints == serial.value.checkpoints == []
+        for k in (0, 2):
+            assert_same_run(outcomes[k], train(mdp, teacher, configs[k]))
+        return outcomes
+
+    at_each_block_length(monkeypatch, configs[0], run)
 
 
 def test_train_grid_shares_one_warm_start_per_seed(monkeypatch):
