@@ -130,8 +130,7 @@ class TrajectoryBatch:
     entered, and at the acting states the budget cost and the penalty
     divergence against the teacher under the acting student. Past a row's
     length every entry is 0. `ledgers` keeps the budget ledgers that
-    `shaping` builds for the batch, one per budget, and `blocks` the row
-    blocks that `block` made.
+    `shaping` builds for the batch, one per budget.
     """
 
     states: np.ndarray  # (B, T) int
@@ -142,7 +141,6 @@ class TrajectoryBatch:
     penalties: np.ndarray  # (B, T) float
     terminated: np.ndarray  # (B,) bool
     ledgers: dict = field(default_factory=dict, init=False, repr=False)
-    blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def live(self) -> np.ndarray:
@@ -153,16 +151,11 @@ class TrajectoryBatch:
         return len(self.lengths)
 
     def block(self, start: int, stop: int) -> "TrajectoryBatch":
-        """Rows start..stop-1 as a batch of views, made once per range and
-        kept, so that its ledgers are shared; the batch itself for all
-        rows."""
+        """Rows start..stop-1 as a batch of views; the batch for all rows."""
         if (start, stop) == (0, len(self)):
             return self
-        part = self.blocks.get((start, stop))
-        if part is None:
-            part = self.blocks[start, stop] = TrajectoryBatch(
-                *(getattr(self, name)[start:stop] for name in _ROW_FIELDS))
-        return part
+        return TrajectoryBatch(*(getattr(self, name)[start:stop]
+                                 for name in _ROW_FIELDS))
 
     @classmethod
     def stack(cls, batches) -> "TrajectoryBatch":
@@ -554,17 +547,19 @@ def load_task(path) -> TokenMdp:
         if not isinstance(raw[name], dict):
             raise ValueError(f"{name} must be a mapping")
     n, v = int(raw["num_states"]), int(raw["vocab_size"])
-    trans = np.full((n, v), -1, dtype=np.int64)
+    trans = {}
     for key, nxt in raw["transitions"].items():
         m = re.fullmatch(r"\s*(\d+)\s+(\d+)\s*", str(key))
         if not m or int(m[1]) >= n or int(m[2]) >= v:
             raise ValueError(f"transition key {key!r} is not 's a' with "
                              f"0 <= s < {n} and 0 <= a < {v}")
         trans[int(m[1]), int(m[2])] = int(nxt)
-    if (trans < 0).any():
+    # counted before a states x tokens table is built
+    if len(trans) < n * v:
         raise ValueError("transition map must be total over states x tokens")
     rewards = {int(s): float(r) for s, r in raw["terminal_rewards"].items()}
-    return TokenMdp(n, v, trans, int(raw["initial_state"]),
+    table = [[trans[s, a] for a in range(v)] for s in range(n)]
+    return TokenMdp(n, v, table, int(raw["initial_state"]),
                     frozenset(rewards), int(raw["horizon_cap"]), rewards)
 
 

@@ -18,9 +18,6 @@ from .shaping import ConstrainedRewardSpec
 BASELINE_NONE = "none"
 BASELINE_GROUP = "group"
 
-CREDIT_TO_GO = "to-go"
-CREDIT_STEP = "step"
-
 
 @dataclass
 class GradientEstimate:
@@ -48,43 +45,25 @@ def _returns_to_go(rewards, discount: float) -> np.ndarray:
     return out
 
 
-def _credits(shaped, discount: float, credit: str) -> np.ndarray:
-    if credit == CREDIT_TO_GO:
-        return _returns_to_go(shaped, discount)
-    if credit == CREDIT_STEP:
-        return np.asarray(shaped, dtype=np.float64)
-    raise ValueError(f"unknown credit mode {credit!r}")
-
-
 def _group_baselines(credits: np.ndarray, groups,
                      lengths: np.ndarray) -> np.ndarray:
     """Per step index, the mean credit over group members still running.
 
-    Members are added in their listed order, one column per step, as a
-    running scalar sum adds them; past a member's length its credit is 0,
-    which leaves the sum's bits unchanged. Groups are disjoint: lists of
-    members, or the rows of a (G, size) array of equally large groups.
+    Groups are disjoint and equally large: the rows of a (G, size) index
+    array. Each group's members are added in row order, as a running scalar
+    sum adds them; past a member's length its credit is 0, which leaves the
+    sum's bits unchanged.
     """
-    if isinstance(groups, np.ndarray):
-        index, short = groups, groups.shape[1] < 2
-    else:
-        short = any(len(members) < 2 for members in groups)
-        size = max((len(members) for members in groups), default=0)
-        # (G, size) member rows; -1 pads a short group with an appended
-        # zero row
-        index = np.array([list(m) + [-1] * (size - len(m)) for m in groups],
-                         dtype=np.int64).reshape(len(groups), size)
-    if short:
-        raise ValueError("group baseline requires groups of at least 2")
-    width, size = credits.shape[1], index.shape[1]
-    members = np.vstack([credits, np.zeros(width)])[index]
-    total = np.zeros((len(index), width))
-    for j in range(size):
-        total = total + members[:, j]
-    running = np.append(lengths, 0)[index][..., None] > np.arange(width)
-    base = np.zeros((len(credits) + 1, width))
+    index = np.asarray(groups)
+    if index.ndim != 2 or index.shape[1] < 2:
+        raise ValueError("group baseline requires equal groups of at least 2")
+    total = np.zeros((len(index), credits.shape[1]))
+    for member in index.T:  # each group's j-th member, for j in turn
+        total = total + credits[member]
+    running = lengths[index][..., None] > np.arange(credits.shape[1])
+    base = np.zeros_like(credits)
     base[index] = (total / np.maximum(running.sum(axis=1), 1))[:, None]
-    return base[:-1]
+    return base
 
 
 def _weights(batch, weights: Sequence[float] | None,
@@ -105,8 +84,6 @@ def _spec_blocks(batch: TrajectoryBatch, spec):
     cells with equal specs form one block.
     """
     specs = [spec] if isinstance(spec, ConstrainedRewardSpec) else list(spec)
-    if len(specs) == 1:
-        return [(specs[0], batch)], len(batch)
     size = len(batch) // max(len(specs), 1)
     if size * len(specs) != len(batch):
         raise ValueError(f"a batch of {len(batch)} rows does not split into"
@@ -117,10 +94,6 @@ def _spec_blocks(batch: TrajectoryBatch, spec):
         blocks.append((cell_spec, batch.block(start, stop)))
         start = stop
     return blocks, size
-
-
-def _join(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _accumulate(shape, states: np.ndarray, minus: np.ndarray,
@@ -148,28 +121,18 @@ def _accumulate(shape, states: np.ndarray, minus: np.ndarray,
     return table.reshape(shape)
 
 
-def likelihood_ratio_term(student, batch: TrajectoryBatch, shaped,
-                          baseline: str = BASELINE_NONE,
-                          groups=None,
-                          credit: str = CREDIT_TO_GO,
-                          discount: float = 1.0,
+def likelihood_ratio_term(student, batch: TrajectoryBatch,
+                          credits: np.ndarray, groups=None,
                           weights: Sequence[float] | None = None) -> np.ndarray:
     """Weighted sum over trajectories of sum_t grad log pi(a_t|s_t) * advantage_t.
 
-    `shaped` holds the batch's (B, T) shaped rewards, 0 past each row's
-    length. The default weights 1/B give the sampled mean; leaf
+    `credits` holds the batch's (B, T) per-step credits, 0 past each row's
+    length; the advantage is the credit less, when `groups` is given, its
+    group's baseline. The default weights 1/B give the sampled mean; leaf
     probabilities give the exact expectation.
     """
-    credits = _credits(shaped, discount, credit)
-    if baseline == BASELINE_GROUP:
-        if groups is None:
-            raise ValueError("group baseline requires group assignments")
-        base = _group_baselines(credits, groups, batch.lengths)
-    elif baseline == BASELINE_NONE:
-        base = 0.0
-    else:
-        raise ValueError(f"unknown baseline mode {baseline!r}")
-
+    base = 0.0 if groups is None else \
+        _group_baselines(credits, groups, batch.lengths)
     adv = ((credits - base) * _weights(batch, weights)[:, None])[batch.live]
     states = batch.states[batch.live]
     probs = student.action_probs(ALL_STATES)
@@ -178,28 +141,26 @@ def likelihood_ratio_term(student, batch: TrajectoryBatch, shaped,
                        batch.tokens[batch.live])
 
 
-def explicit_dependence_term(student, teacher, batch: TrajectoryBatch,
-                             spec: ConstrainedRewardSpec,
-                             weights: Sequence[float] | None = None) -> np.ndarray:
+def explicit_dependence_term(student, teacher, blocks: list,
+                             weights: np.ndarray) -> np.ndarray:
     """Minus the weighted, discounted divergence gradient on the steps whose
     shaped reward contains the divergence itself, as `shaping.term_ii_rule`
-    names them for the spec's mode. `spec` may be one spec per cell of a
-    stacked student, as in `total_gradient`."""
-    blocks, size = _spec_blocks(batch, spec)
-    weights = _weights(batch, weights, size)
+    names them for each block's spec. `blocks` is `total_gradient`'s list
+    of (spec, block of rows), which together hold the batch's rows in
+    order, and `weights` has one entry per row."""
     states, values = [], []
     start = 0
-    for cell_spec, block in blocks:
+    for spec, block in blocks:
         rows = slice(start, start + len(block))
         start = rows.stop
-        kind, coefficient, mask = shaping.term_ii_rule(cell_spec)
+        kind, coefficient, mask = shaping.term_ii_rule(spec)
         if coefficient == 0.0:
             continue
-        flags = mask(block, cell_spec) if mask else block.live
+        flags = mask(block, spec) if mask else block.live
         # weight * coefficient, times the discount once per step, left to
         # right
         factors = np.full((len(block), block.states.shape[1] + 1),
-                          cell_spec.discount)
+                          spec.discount)
         factors[:, 0] = weights[rows] * coefficient
         scale = np.multiply.accumulate(factors, axis=1)[:, :-1]
         steps = block.states[flags]
@@ -208,11 +169,8 @@ def explicit_dependence_term(student, teacher, batch: TrajectoryBatch,
         values.append(scale[flags][:, None] * grads[steps])
     if not states:
         return np.zeros_like(student.logits)
-    return _accumulate(student.logits.shape, _join(states), _join(values))
-
-
-def _credit_mode(spec: ConstrainedRewardSpec) -> str:
-    return CREDIT_STEP if spec.mode == shaping.KL_ONLY else CREDIT_TO_GO
+    return _accumulate(student.logits.shape, np.concatenate(states),
+                       np.concatenate(values))
 
 
 def total_gradient(student, teacher, trajectories,
@@ -225,6 +183,12 @@ def total_gradient(student, teacher, trajectories,
     probabilities. `trajectories` is a `TrajectoryBatch`, or a list of
     equally wide ones (such as `env.rollout` results), stacked into one.
 
+    The batch is split by spec once, and each block is credited by its
+    spec: a kl-only block by its shaped rewards, any other by their
+    discounted returns-to-go. Term ii gets the same blocks, so shaping and
+    its boundary flags share each block's ledger. BASELINE_GROUP subtracts
+    group means over the rows of `groups`, a (G, size) index array.
+
     `spec` may also be a sequence of C specs, one per cell of a student that
     stacks C cells' tables (see `env.rollout_batch`): the batch's rows are
     then C equal blocks, block c sampled by cell c and shaped, credited and
@@ -232,18 +196,22 @@ def total_gradient(student, teacher, trajectories,
     B rows. Each term makes one np.add.at in each cell's loop order, so cell
     c's rows of the result have the bits of a one-cell call on its block.
     """
+    if baseline not in (BASELINE_NONE, BASELINE_GROUP):
+        raise ValueError(f"unknown baseline mode {baseline!r}")
+    if baseline == BASELINE_GROUP and groups is None:
+        raise ValueError("group baseline requires group assignments")
     batch = TrajectoryBatch.stack(trajectories)
     blocks, size = _spec_blocks(batch, spec)
     weights = _weights(batch, weights, size)
-    # each block's credits, passed on as step rewards so they stay as built
-    credits = _join([_credits(shaping.shape_rewards(block, cell_spec),
-                              cell_spec.discount, _credit_mode(cell_spec))
-                     for cell_spec, block in blocks])
-    term_i = likelihood_ratio_term(student, batch, credits,
-                                   baseline=baseline, groups=groups,
-                                   credit=CREDIT_STEP, weights=weights)
-    term_ii = explicit_dependence_term(student, teacher, batch, spec,
-                                       weights=weights)
+    credits = []
+    for cell_spec, block in blocks:
+        shaped = shaping.shape_rewards(block, cell_spec)
+        credits.append(shaped if cell_spec.mode == shaping.KL_ONLY
+                       else _returns_to_go(shaped, cell_spec.discount))
+    term_i = likelihood_ratio_term(
+        student, batch, np.concatenate(credits),
+        groups if baseline == BASELINE_GROUP else None, weights)
+    term_ii = explicit_dependence_term(student, teacher, blocks, weights)
     return GradientEstimate(term_i + term_ii, term_i, term_ii, len(batch))
 
 

@@ -16,6 +16,7 @@ from .policies import SoftmaxPolicy
 from .shaping import ConstrainedRewardSpec
 
 TOY_LEARNING_RATE = 5e-2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, guard
 
 # Rollout streams per `streams.uniform_block` call: training draws each
 # seed's uniforms a block of whole epochs at a time (14 epochs of 640
@@ -89,8 +90,8 @@ class AdamAscent:
     `state` is what `state()` returned, before or after the first update.
     """
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8, state=None):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr, state=None):
+        self.lr = lr
         if state is None or state["step_count"] == 0:
             self.m = None
             self.v = None
@@ -106,11 +107,11 @@ class AdamAscent:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.step_count += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1 ** self.step_count)
-        vhat = self.v / (1.0 - self.beta2 ** self.step_count)
-        return params + self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        mhat = self.m / (1.0 - ADAM_BETA1 ** self.step_count)
+        vhat = self.v / (1.0 - ADAM_BETA2 ** self.step_count)
+        return params + self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def state(self, rows=slice(None)) -> dict:
         """The state to restore, of the given rows of the parameters."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,23 @@ def test_task_file_rejects_bad_keys(tmp_path):
     path.write_text("num_states: 2\n")
     with pytest.raises(ValueError, match="missing task keys"):
         env.load_task(path)
+
+
+def test_task_file_rejects_a_partial_map_before_allocating(tmp_path):
+    # one transition of 20000 x 1000: the map cannot be total, and is
+    # rejected before a 160 MB states x tokens table is built
+    path = tmp_path / "task.yaml"
+    path.write_text("num_states: 20000\nvocab_size: 1000\ninitial_state: 0\n"
+                    "horizon_cap: 4\ntransitions: {'0 0': 1}\n"
+                    "terminal_rewards: {1: 1.0}\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="must be total"):
+            env.load_task(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("penalty_kind", [REVERSE_KL, JENSEN_SHANNON])

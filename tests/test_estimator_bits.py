@@ -94,7 +94,7 @@ def ref_weights(trajs, weights):
 
 
 def ref_term_i(student, trajs, shaped, groups, credit, discount, weights):
-    if credit == gradients.CREDIT_TO_GO:
+    if credit == "to-go":
         credits = [ref_returns_to_go(r, discount) for r in shaped]
     else:
         credits = [list(r) for r in shaped]
@@ -268,7 +268,7 @@ def check_estimator(student, teacher, trajs, spec, groups=None,
     """`trajs`: a batch, or a list of equally wide ones."""
     ref = rows(TrajectoryBatch.stack(trajs))
     shaped = [ref_shape(t, spec) for t in ref]
-    credit = gradients._credit_mode(spec)
+    credit = "step" if spec.mode == shaping.KL_ONLY else "to-go"
     term_i = ref_term_i(student, ref, shaped, groups, credit,
                         spec.discount, weights)
     term_ii = ref_term_ii(student, teacher, ref, spec, weights)
@@ -285,7 +285,7 @@ def check_estimator(student, teacher, trajs, spec, groups=None,
 @pytest.mark.parametrize("chunk", range(3))
 def test_estimator_matches_scalar_loops(chunk):
     # 10 instances per chunk x 2 settings x 6 modes x {sampled without
-    # baseline, sampled with unequal groups, exact leaf weights}
+    # baseline, sampled with groups, exact leaf weights}
     rng = np.random.default_rng([chunk, 41])
     fired = truncated = last_step = 0
     for _ in range(10):
@@ -301,7 +301,7 @@ def test_estimator_matches_scalar_loops(chunk):
             last_step += (done & (stacked.lengths == mdp.horizon_cap)).sum()
             check_estimator(student, teacher, trajs, spec)
             check_estimator(student, teacher, trajs, spec,
-                            groups=[[0, 1], [2, 3, 4, 5, 6], [7, 8, 9]])
+                            groups=[[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]])
             leaves, probs = env.enumerate_batch(mdp, student, teacher, spec)
             est = check_estimator(student, teacher, leaves, spec,
                                   weights=probs)
@@ -320,13 +320,13 @@ def test_estimator_edge_batches():
                                   np.zeros((0, mdp.horizon_cap)))
         est = check_estimator(student, teacher, empty, spec)
         assert not est.table.any()
-        # rows of every length, one group of 2 and one of 3
+        # rows of every length, in one group
         uniforms = np.random.default_rng(9).random((5, mdp.horizon_cap))
         batch = env.rollout_batch(mdp, student, teacher, spec, uniforms)
         singles = [env.rollout_batch(mdp, student, teacher, spec, row[None])
                    for row in uniforms]
         check_estimator(student, teacher, singles, spec,
-                        groups=[[0, 1], [2, 3, 4]])
+                        groups=[[0, 1, 2, 3, 4]])
         # trailing zero columns leave every bit unchanged
         wider = TrajectoryBatch(*(
             np.pad(a, ((0, 0), (0, 3))) if a.ndim == 2 else a
@@ -502,16 +502,14 @@ def test_accumulation_keeps_the_loop_order():
     trajs = rows(batch)
     shaped = [[r] for r in advs]
     weights = [1.0] * 4
-    want = ref_term_i(student, trajs, shaped, None, gradients.CREDIT_STEP,
-                      1.0, weights)
-    got = gradients.likelihood_ratio_term(
-        student, batch, shaped, credit=gradients.CREDIT_STEP,
-        weights=weights)
+    want = ref_term_i(student, trajs, shaped, None, "step", 1.0, weights)
+    got = gradients.likelihood_ratio_term(student, batch, np.array(shaped),
+                                          weights=weights)
     assert_same_bits(got, want)
     # the case has teeth: the reversed order, and the probability parts and
     # token parts summed apart and then added (two bincounts), differ
     reversed_order = ref_term_i(student, trajs[::-1], shaped[::-1], None,
-                                gradients.CREDIT_STEP, 1.0, weights)
+                                "step", 1.0, weights)
     assert reversed_order.tobytes() != want.tobytes()
     probs_part, token_part = np.zeros((1, 2)), np.zeros((1, 2))
     for adv in advs:

@@ -1,11 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from crldistill import divergence as dv
 from crldistill import env, gradients, shaping
 from crldistill.env import TrajectoryBatch
-from crldistill.gradients import (BASELINE_GROUP, BASELINE_NONE,
-                                  CREDIT_STEP, CREDIT_TO_GO, FD_STEP,
+from crldistill.gradients import (BASELINE_GROUP, BASELINE_NONE, FD_STEP,
                                   boundary_margin, exact_gradient,
                                   finite_difference_gradient,
                                   likelihood_ratio_term, total_gradient)
@@ -51,9 +52,9 @@ def test_group_baseline_zeroes_identical_returns():
                            np.zeros((1, 2)), np.zeros((1, 2)),
                            np.array([True]))
     batch = TrajectoryBatch.stack([traj, traj, traj])
-    shaped = shaping.shape_rewards(batch, spec)
-    term = likelihood_ratio_term(student, batch, shaped,
-                                 baseline=BASELINE_GROUP, groups=[[0, 1, 2]])
+    credits = gradients._returns_to_go(shaping.shape_rewards(batch, spec),
+                                       spec.discount)
+    term = likelihood_ratio_term(student, batch, credits, groups=[[0, 1, 2]])
     np.testing.assert_allclose(term, 0.0, atol=1e-15)
 
 
@@ -61,15 +62,27 @@ def test_group_baseline_requires_groups():
     mdp, student, teacher = small_instance()
     spec = ConstrainedRewardSpec()
     batch = env.rollout(mdp, student, teacher, spec, np.random.default_rng(0))
-    shaped = shaping.shape_rewards(batch, spec)
     with pytest.raises(ValueError):
-        likelihood_ratio_term(student, batch, shaped,
-                              baseline=BASELINE_GROUP, groups=None)
+        total_gradient(student, teacher, batch, spec,
+                       baseline=BASELINE_GROUP, groups=None)
     with pytest.raises(ValueError):
-        likelihood_ratio_term(student, batch, shaped,
-                              baseline=BASELINE_GROUP, groups=[[0]])
+        total_gradient(student, teacher, batch, spec,
+                       baseline=BASELINE_GROUP, groups=[[0]])
     with pytest.raises(ValueError):
-        likelihood_ratio_term(student, batch, shaped, baseline="median")
+        total_gradient(student, teacher, batch, spec, baseline="median")
+
+
+def test_ragged_groups_raise():
+    # groups are the rows of a (G, size) array; a ragged list has no such
+    # form
+    mdp, student, teacher = small_instance()
+    spec = ConstrainedRewardSpec()
+    batch = env.rollout_batch(mdp, student, teacher, spec,
+                              np.random.default_rng(0).random(
+                                  (5, mdp.horizon_cap)))
+    with pytest.raises(ValueError):
+        total_gradient(student, teacher, batch, spec,
+                       baseline=BASELINE_GROUP, groups=[[0, 1], [2, 3, 4]])
 
 
 def test_one_budget_ledger_per_unaugmented_batch(monkeypatch):
@@ -79,19 +92,32 @@ def test_one_budget_ledger_per_unaugmented_batch(monkeypatch):
     batch = env.rollout_batch(mdp, student, teacher, spec,
                               np.random.default_rng(1).random(
                                   (16, mdp.horizon_cap)))
-    budgets = []
+    calls = []
     ledger = shaping.remaining_budget
 
     def counted(costs, budget):
-        budgets.append(budget)
+        calls.append((costs.ctypes.data, budget))
         return ledger(costs, budget)
 
     monkeypatch.setattr(shaping, "remaining_budget", counted)
     est = total_gradient(student, teacher, batch, spec)
-    assert budgets == [spec.budget] and est.term_ii.any()
+    assert [b for _, b in calls] == [spec.budget] and est.term_ii.any()
     # a spec with another budget gets its own ledger
     total_gradient(student, teacher, batch, ConstrainedRewardSpec(budget=0.3))
-    assert budgets == [0.2, 0.3]
+    assert [b for _, b in calls] == [0.2, 0.3]
+    # per-cell specs split a stacked batch into blocks of equal specs, and
+    # each block's shaping and term ii share one ledger
+    specs = [ConstrainedRewardSpec(budget=b) for b in (0.2, 0.3, 0.2)]
+    stacked = SoftmaxPolicy(np.concatenate([student.logits] * 3))
+    batch = env.rollout_batch(mdp, stacked, teacher, spec,
+                              np.random.default_rng(1).random(
+                                  (3, 16, mdp.horizon_cap)))
+    for cell_specs in (specs, specs[:1] * 2 + specs[1:2]):
+        calls.clear()
+        est = total_gradient(stacked, teacher, batch, cell_specs)
+        blocks = [s.budget for s, _ in itertools.groupby(cell_specs)]
+        assert len(set(calls)) == len(calls) == len(blocks)
+        assert [b for _, b in calls] == blocks and est.term_ii.any()
 
 
 def test_sampled_estimate_approaches_exact():
@@ -222,12 +248,3 @@ def test_boundary_margin_positive_off_boundary():
     mdp, student, teacher = small_instance(seed=8)
     spec = ConstrainedRewardSpec(budget=0.2)
     assert boundary_margin(mdp, student, teacher, spec) > 0.0
-
-
-def test_credit_modes():
-    with pytest.raises(ValueError):
-        gradients._credits([[1.0]], 1.0, "uniform")
-    assert gradients._credits([[1.0, 2.0]], 1.0, CREDIT_STEP).tolist() == \
-        [[1.0, 2.0]]
-    assert gradients._credits([[1.0, 2.0]], 1.0, CREDIT_TO_GO).tolist() == \
-        [[3.0, 2.0]]
