@@ -38,6 +38,8 @@ class TokenMdp:
     terminal_states: frozenset[int]
     horizon_cap: int
     task_reward: dict[int, float] = field(default_factory=dict)
+    _stacks: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.num_states <= 0 or self.vocab_size <= 0 or self.horizon_cap <= 0:
@@ -99,25 +101,25 @@ class TokenMdp:
         cell, otherwise built once per count and read-only."""
         if cells == 1:
             return self.transition, self.terminal, self.reward_of
-        tables = self._stacks.get(cells)
+        tables = self._stacks.get(("rows", cells))
         if tables is None:
             first = np.arange(cells) * self.num_states
             successor = (self.transition + first[:, None, None]).reshape(
                 -1, self.vocab_size)
-            tables = self._stacks[cells] = (
+            tables = self._stacks["rows", cells] = (
                 read_only(successor), read_only(np.tile(self.terminal, cells)),
                 read_only(np.tile(self.reward_of, cells)))
         return tables
 
-    @cached_property
-    def _stacks(self) -> dict:
-        return {}
-
-    @cached_property
-    def _tree(self) -> "_Steps":
-        """The trajectory tree's policy-free arrays, built once (see
-        `enumerate_batch`) and read-only, since every batch shares them."""
-        return _Steps(*map(read_only, _build_tree(self)))
+    def tree(self, cells: int) -> "_Steps":
+        """The trajectory tree's policy-free arrays (see `enumerate_batch`)
+        for a stack of `cells` copies of the MDP laid out as `rows(cells)`,
+        built once per count and read-only, since every batch shares them."""
+        tree = self._stacks.get(("tree", cells))
+        if tree is None:
+            tree = self._stacks["tree", cells] = _Steps(
+                *map(read_only, _build_tree(self, cells)))
+        return tree
 
 
 @dataclass(eq=False)
@@ -340,8 +342,10 @@ def rollout_batch(mdp, student, teacher, spec,
                                      terminal[state]), cost, pen)
 
 
-def _build_tree(mdp) -> _Steps:
-    """Every trajectory of `mdp` in lexicographic token order.
+def _build_tree(mdp, cells: int) -> _Steps:
+    """Every trajectory of `mdp` in lexicographic token order, for each of
+    `cells` stacked copies in turn: row c * leaf_count + l is leaf l of cell
+    c, acting on cell c's rows of `mdp.rows(cells)`.
 
     The tree grows one depth at a time: each running row becomes one row per
     token, in token order, and each finished row is carried as itself, so
@@ -349,49 +353,52 @@ def _build_tree(mdp) -> _Steps:
     the longest row.
     """
     v, width = mdp.vocab_size, mdp.horizon_cap
-    states = np.zeros((1, width), dtype=np.int64)
-    tokens = np.zeros((1, width), dtype=np.int64)
-    lengths = np.zeros(1, dtype=np.int64)
-    state = np.array([mdp.initial_state], dtype=np.int64)
+    successor, terminal, _ = mdp.rows(cells)
+    states = np.zeros((cells, width), dtype=np.int64)
+    tokens = np.zeros((cells, width), dtype=np.int64)
+    lengths = np.zeros(cells, dtype=np.int64)
+    state = np.arange(cells) * mdp.num_states + mdp.initial_state
     for t in range(width):
-        done = mdp.terminal[state]
+        done = terminal[state]
         if done.all():
             break
         states, tokens, lengths, state = (
             np.repeat(x, np.where(done, 1, v), axis=0)
             for x in (states, tokens, lengths, state))
-        rows = np.flatnonzero(~mdp.terminal[state])
+        rows = np.flatnonzero(~terminal[state])
         s = state[rows]
         a = np.tile(np.arange(v), len(rows) // v)
         states[rows, t] = s
         tokens[rows, t] = a
         lengths[rows] = t + 1
-        state[rows] = mdp.transition[s, a]
+        state[rows] = successor[s, a]
     cut = lengths.max()
-    return _task_steps(mdp.rows(1), states[:, :cut].copy(),
-                       tokens[:, :cut].copy(), lengths, mdp.terminal[state])
+    return _task_steps(mdp.rows(cells), states[:, :cut].copy(),
+                       tokens[:, :cut].copy(), lengths, terminal[state])
 
 
 def enumerate_batch(mdp, student, teacher, spec,
                     leaf_cap: int = ENUMERATION_LEAF_CAP):
     """Every trajectory of the student, as a batch in lexicographic token
     order (the order of a depth-first walk), and its exact probability,
-    shape (B,).
+    shape (B,). A student that stacks C cells' tables gets C blocks of
+    leaf_count rows, block c acting on cell c's rows (`TokenMdp.tree`).
 
     The transitions are deterministic, so the tree's steps, task rewards and
-    `live` mask depend on the MDP alone: it is built once per MDP, kept on
-    it, and every batch shares its read-only arrays. A call looks up the
-    student's action probabilities, costs and penalties in `state_tables`.
-    A leaf's probability is the product of its action probabilities taken
-    left to right from 1.0, and the probabilities sum to one.
+    `live` mask depend on the MDP alone: they are built once per MDP and
+    cell count, kept on it, and every batch shares the read-only arrays. A
+    call looks up the student's action probabilities, costs and penalties in
+    `state_tables`. A leaf's probability is the product of its action
+    probabilities taken left to right from 1.0; each cell's sum to one.
 
-    Raises EnumerationCapExceeded exactly when the tree has more than
-    `leaf_cap` leaves (`TokenMdp.leaf_count`), before building anything.
+    Raises EnumerationCapExceeded, before building anything, exactly when
+    the batch would have more than `leaf_cap` rows (C * `leaf_count`).
     """
-    if mdp.leaf_count > leaf_cap:
+    cells = student.num_states // mdp.num_states
+    if cells * mdp.leaf_count > leaf_cap:
         raise EnumerationCapExceeded(
             f"enumeration exceeds cap of {leaf_cap} leaves")
-    tree = mdp._tree
+    tree = mdp.tree(cells)
     probs, cost, pen = state_tables(mdp, student, teacher, spec)
     # x * 1.0 == x, so past a row's length the product keeps its bits
     factors = np.where(tree.live, probs[tree.states, tree.tokens], 1.0)
@@ -517,8 +524,14 @@ def tension_teacher(mdp: TokenMdp, advance: float = 0.86,
 #   transitions: {"state token": next_state, ...},
 #   terminal_rewards: {state: reward}
 
-_TASK_KEYS = {"num_states", "vocab_size", "initial_state", "horizon_cap",
-              "transitions", "terminal_rewards"}
+_COUNT_KEYS = ("num_states", "vocab_size", "initial_state", "horizon_cap")
+_TASK_KEYS = {*_COUNT_KEYS, "transitions", "terminal_rewards"}
+
+
+def is_count(value) -> bool:
+    """Whether `value` is an int >= 0 and not a bool (task sizes, seeds)."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
 class SafeLoader(yaml.SafeLoader):
@@ -546,21 +559,26 @@ def load_task(path) -> TokenMdp:
     for name in ("transitions", "terminal_rewards"):
         if not isinstance(raw[name], dict):
             raise ValueError(f"{name} must be a mapping")
-    n, v = int(raw["num_states"]), int(raw["vocab_size"])
+    for name, value in [*((k, raw[k]) for k in _COUNT_KEYS),
+                        *(("transition target", x)
+                          for x in raw["transitions"].values())]:
+        if not is_count(value):
+            raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    n, v = raw["num_states"], raw["vocab_size"]
     trans = {}
     for key, nxt in raw["transitions"].items():
         m = re.fullmatch(r"\s*(\d+)\s+(\d+)\s*", str(key))
         if not m or int(m[1]) >= n or int(m[2]) >= v:
             raise ValueError(f"transition key {key!r} is not 's a' with "
                              f"0 <= s < {n} and 0 <= a < {v}")
-        trans[int(m[1]), int(m[2])] = int(nxt)
+        trans[int(m[1]), int(m[2])] = nxt
     # counted before a states x tokens table is built
     if len(trans) < n * v:
         raise ValueError("transition map must be total over states x tokens")
     rewards = {int(s): float(r) for s, r in raw["terminal_rewards"].items()}
     table = [[trans[s, a] for a in range(v)] for s in range(n)]
-    return TokenMdp(n, v, table, int(raw["initial_state"]),
-                    frozenset(rewards), int(raw["horizon_cap"]), rewards)
+    return TokenMdp(n, v, table, raw["initial_state"], frozenset(rewards),
+                    raw["horizon_cap"], rewards)
 
 
 def save_task(mdp: TokenMdp, path) -> None:

@@ -10,9 +10,8 @@ import numpy as np
 
 from . import divergence as dv
 from . import shaping
-from .env import (TrajectoryBatch, discounted_sum, enumerate_batch,
-                  weighted_sum)
-from .policies import ALL_STATES
+from .env import TrajectoryBatch, discounted_sum, enumerate_batch
+from .policies import ALL_STATES, SoftmaxPolicy
 from .shaping import ConstrainedRewardSpec
 
 BASELINE_NONE = "none"
@@ -239,29 +238,31 @@ def shaped_return(batch: TrajectoryBatch,
     return discounted_sum(shaping.shape_rewards(batch, spec), spec.discount)
 
 
-def objective_value(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float:
-    """Expected discounted shaped return: shaped_return weighted by leaf
-    probabilities, summed in leaf order."""
+def objective_value(mdp, student, teacher, spec: ConstrainedRewardSpec):
+    """Expected discounted shaped return of each cell of the student, shape
+    (C,): shaped_return times leaf probability, added in leaf order from 0.0
+    along each cell's rows (as `weighted_sum` adds them)."""
     batch, probs = enumerate_batch(mdp, student, teacher, spec)
-    return weighted_sum(probs, shaped_return(batch, spec))
+    cells = student.num_states // mdp.num_states
+    terms = np.zeros((cells, len(probs) // cells + 1))
+    terms[:, 1:] = (probs * shaped_return(batch, spec)).reshape(cells, -1)
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def finite_difference_gradient(fn, policy, step: float = FD_STEP) -> np.ndarray:
-    """Central differences of a scalar function of the policy logits, each
-    perturbed table assigned to a copy of the policy."""
-    probe = policy.copy()
-    logits = policy.logits
-    grad = np.zeros_like(logits)
-    for idx in np.ndindex(*logits.shape):
-        values = []
-        for shifted in (logits[idx] + step, logits[idx] - step):
-            table = logits.copy()
-            table[idx] = shifted
-            probe.logits = table
-            values.append(fn(probe))
-        hi, lo = values
-        grad[idx] = (hi - lo) / (2.0 * step)
-    return grad
+    """Central differences of a function of the policy logits, from one call
+    of `fn` on a policy that stacks 2 * logits.size cells' tables: for each
+    logit in row-major order, the table with it + step, then with it - step.
+    `fn` maps such a stacked policy to one value per cell."""
+    flat = policy.logits.ravel()
+    n = flat.size
+    k = np.arange(n)
+    tables = np.tile(flat, (n, 2, 1))
+    tables[k, 0, k] = flat + step
+    tables[k, 1, k] = flat - step
+    probe = SoftmaxPolicy(tables.reshape(-1, policy.vocab_size), policy.floor)
+    hi, lo = np.reshape(fn(probe), (n, 2)).T
+    return ((hi - lo) / (2.0 * step)).reshape(policy.logits.shape)
 
 
 def boundary_margin(mdp, student, teacher, spec: ConstrainedRewardSpec) -> float:

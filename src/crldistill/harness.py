@@ -174,7 +174,7 @@ class ExperimentConfig:
         train_sec = dict(raw.get("train", {}))
         _require_keys(train_sec, _TRAIN_KEYS, set(), "train")
         warm = train_sec.pop("warm_start_epochs", 3)
-        if not _is_count(warm):
+        if not env_mod.is_count(warm):
             raise ConfigError("train: warm_start_epochs must be an integer"
                               f" >= 0, got {warm!r}")
         try:
@@ -190,16 +190,11 @@ def _config_error(where: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{where}: " + " ".join(str(exc).split()))
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 0
-
-
 def check_seeds(seeds) -> list[int]:
     """The training seeds as a list; each must be an int >= 0 (not a bool),
     since a seed is the first word of every rollout's stream key."""
     if (not isinstance(seeds, list) or not seeds
-            or not all(_is_count(s) for s in seeds)):
+            or not all(env_mod.is_count(s) for s in seeds)):
         raise ConfigError("seeds: expected a non-empty list of integers"
                           f" >= 0, got {seeds!r}")
     return list(seeds)

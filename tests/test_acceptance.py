@@ -59,8 +59,11 @@ def test_kl_score_gradient_matches_finite_differences():
         analytic = dv.divergence_gradient(student, teacher, state,
                                           dv.REVERSE_KL)
 
-        def cost(policy, state=state, teacher=teacher):
-            return dv.per_state_cost(policy, teacher, state, dv.REVERSE_KL)
+        def cost(policy, state=state, teacher=teacher, mdp=mdp):
+            # one cost per cell of the stacked probe: its row c * S + state
+            rows = np.arange(0, policy.num_states, mdp.num_states) + state
+            return dv.divergence(policy.action_probs(rows),
+                                 teacher.action_probs(state), dv.REVERSE_KL)
 
         fd = gradients.finite_difference_gradient(cost, student)
         denom = max(float(np.linalg.norm(fd)), 1e-6)

@@ -88,6 +88,10 @@ BAD_TASKS = {
     "transitions not a mapping": lambda doc: doc.update(transitions=[1, 2]),
     "terminal rewards not a mapping":
         lambda doc: doc.update(terminal_rewards=[1, 2]),
+    "fractional num_states":
+        lambda doc: doc.update(num_states=doc["num_states"] + 0.9),
+    "fractional horizon_cap": lambda doc: doc.update(horizon_cap=2.5),
+    "bool horizon_cap": lambda doc: doc.update(horizon_cap=True),
 }
 
 

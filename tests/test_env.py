@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crldistill import env, policies, shaping
 from crldistill.divergence import (JENSEN_SHANNON, REVERSE_KL,
@@ -335,6 +338,66 @@ def test_tree_is_built_once_per_mdp():
             shared[0] = 1
 
 
+def assert_stack_is_per_cell(mdp, students, teacher, spec):
+    """Enumerating the stacked students gives each cell's one-cell batch
+    and probabilities bit for bit, its acting states offset by c * S."""
+    stacked = SoftmaxPolicy(np.concatenate([p.logits for p in students]))
+    batch, probs = env.enumerate_batch(mdp, stacked, teacher, spec)
+    leaves = mdp.leaf_count
+    assert len(batch) == len(probs) == len(students) * leaves
+    for c, student in enumerate(students):
+        one, one_probs = env.enumerate_batch(mdp, student, teacher, spec)
+        rows = slice(c * leaves, (c + 1) * leaves)
+        offset = np.where(one.live, c * mdp.num_states, 0)
+        assert batch.states[rows].tobytes() == (one.states + offset).tobytes()
+        for name in ("tokens", "lengths", "rewards", "costs", "penalties",
+                     "terminated"):
+            assert getattr(batch, name)[rows].tobytes() == \
+                getattr(one, name).tobytes(), name
+        assert probs[rows].tobytes() == one_probs.tobytes()
+
+
+def test_stacked_enumeration_is_per_cell_on_the_tension_mdp():
+    mdp = env.chain_with_distractors()
+    teacher = env.tension_teacher(mdp)
+    rng = np.random.default_rng(8)
+    students = [SoftmaxPolicy(rng.normal(size=(mdp.num_states,
+                                               mdp.vocab_size)))
+                for _ in range(3)]
+    for spec in (ConstrainedRewardSpec(),
+                 ConstrainedRewardSpec(penalty_kind=JENSEN_SHANNON)):
+        assert_stack_is_per_cell(mdp, students, teacher, spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_stacked_enumeration_is_per_cell_on_random_instances(seed):
+    rng = np.random.default_rng(seed)
+    mdp, student, teacher = random_instance(rng)
+    students = [student] + [
+        SoftmaxPolicy(rng.normal(scale=1.5, size=student.logits.shape))
+        for _ in range(2)]
+    assert_stack_is_per_cell(mdp, students, teacher,
+                             ConstrainedRewardSpec(budget=0.3))
+
+
+def test_stacked_enumeration_cap_counts_every_cell(monkeypatch):
+    mdp = env.chain_with_distractors()
+    teacher = env.tension_teacher(mdp)
+    stacked = SoftmaxPolicy(np.zeros((3 * mdp.num_states, mdp.vocab_size)))
+    spec = ConstrainedRewardSpec()
+    monkeypatch.setattr(np, "repeat", lambda *a, **k: pytest.fail("built"))
+    with pytest.raises(EnumerationCapExceeded):
+        env.enumerate_batch(mdp, stacked, teacher, spec,
+                            leaf_cap=3 * mdp.leaf_count - 1)
+    # nothing was built: no tree or stacked tables, no policy tables
+    assert mdp._stacks == {} and stacked.tables == {}
+    monkeypatch.undo()
+    batch, _ = env.enumerate_batch(mdp, stacked, teacher, spec,
+                                   leaf_cap=3 * mdp.leaf_count)
+    assert len(batch) == 3 * mdp.leaf_count
+
+
 def test_transition_is_a_read_only_copy():
     trans = np.array([[1, 1], [1, 1]], dtype=np.int64)
     mdp = TokenMdp(2, 2, trans, 0, frozenset({1}), 4)
@@ -395,6 +458,26 @@ def test_task_file_rejects_bad_keys(tmp_path):
         env.load_task(path)
     path.write_text("num_states: 2\n")
     with pytest.raises(ValueError, match="missing task keys"):
+        env.load_task(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("num_states", 2.9), ("num_states", True), ("vocab_size", 2.0),
+    ("initial_state", True), ("horizon_cap", 2.5), ("horizon_cap", "4"),
+    ("transition target", 1.5)])
+def test_task_file_rejects_sizes_that_are_not_counts(tmp_path, key, value):
+    # a 2-state, 2-token task that loads with any of its counts truncated
+    doc = {"num_states": 2, "vocab_size": 2, "initial_state": 0,
+           "horizon_cap": 3, "transitions": {"0 0": 1, "0 1": 0, "1 0": 1,
+                                             "1 1": 1},
+           "terminal_rewards": {1: 1.0}}
+    if key == "transition target":
+        doc["transitions"]["0 1"] = value
+    else:
+        doc[key] = value
+    path = tmp_path / "task.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match=f"^{key} must be an integer >= 0"):
         env.load_task(path)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crldistill import divergence as dv
-from crldistill import env, gradients, shaping
+from crldistill import env, gradients, shaping, verification
 from crldistill.env import TrajectoryBatch
 from crldistill.gradients import (BASELINE_GROUP, BASELINE_NONE, FD_STEP,
                                   boundary_margin, exact_gradient,
@@ -155,16 +155,81 @@ def test_exact_gradient_matches_finite_differences(mode, kw):
     analytic = exact_gradient(mdp, student, teacher, spec).table
 
     def shaped_value(policy):
-        total = 0.0
+        # one value per cell of the stacked probe, from its block of leaves
         batch, probs = env.enumerate_batch(mdp, policy, teacher, spec)
         shaped = shaping.shape_rewards(batch, spec).tolist()
-        for row, n, p in zip(shaped, batch.lengths.tolist(), probs.tolist()):
-            total += p * sum(row[:n])
-        return total
+        lengths, probs = batch.lengths.tolist(), probs.tolist()
+        leaves = mdp.leaf_count
+        values = []
+        for start in range(0, len(probs), leaves):
+            total = 0.0
+            for row, n, p in zip(shaped[start:start + leaves],
+                                 lengths[start:start + leaves],
+                                 probs[start:start + leaves]):
+                total += p * sum(row[:n])
+            values.append(total)
+        return values
 
     fd = finite_difference_gradient(shaped_value, student)
     denom = max(float(np.linalg.norm(fd)), 1e-6)
     assert float(np.linalg.norm(analytic - fd)) / denom <= 1e-4
+
+
+def loop_finite_differences(fn, policy, step=FD_STEP):
+    """The one-coordinate-at-a-time reference: a scalar fn called on each
+    perturbed table, + step then - step, in row-major order."""
+    probe = policy.copy()
+    logits = policy.logits
+    grad = np.zeros_like(logits)
+    for idx in np.ndindex(*logits.shape):
+        values = []
+        for shifted in (logits[idx] + step, logits[idx] - step):
+            table = logits.copy()
+            table[idx] = shifted
+            probe.logits = table
+            values.append(fn(probe))
+        hi, lo = values
+        grad[idx] = (hi - lo) / (2.0 * step)
+    return grad
+
+
+def assert_stacked_fd_is_the_loop(mdp, student, teacher, spec):
+    calls = []
+
+    def value(policy):
+        calls.append(policy.num_states // mdp.num_states)
+        return gradients.objective_value(mdp, policy, teacher, spec)
+
+    def scalar_value(policy):
+        # the one-cell objective: shaped returns summed in leaf order
+        batch, probs = env.enumerate_batch(mdp, policy, teacher, spec)
+        return env.weighted_sum(probs, gradients.shaped_return(batch, spec))
+
+    assert gradients.objective_value(mdp, student, teacher, spec).tobytes() \
+        == np.array([scalar_value(student)]).tobytes()
+    fd = finite_difference_gradient(value, student)
+    assert calls == [2 * student.logits.size]
+    assert fd.tobytes() == \
+        loop_finite_differences(scalar_value, student).tobytes()
+
+
+def test_stacked_finite_differences_are_the_loop_on_the_tension_cell():
+    mdp, teacher = verification.tension_suite()
+    student = SoftmaxPolicy(np.random.default_rng(2).normal(
+        scale=0.7, size=(mdp.num_states, mdp.vocab_size)))
+    spec = ConstrainedRewardSpec(**verification.TENSION_SPEC_KW)
+    assert_stacked_fd_is_the_loop(mdp, student, teacher, spec)
+
+
+def test_stacked_finite_differences_are_the_loop_on_random_instances():
+    rng = np.random.default_rng(17)
+    for k in range(20):
+        mdp, student, teacher = verification.random_instance(
+            rng, max_states=5, max_vocab=3, max_horizon=4)
+        spec = ConstrainedRewardSpec(budget=float(rng.uniform(0.1, 1.0)),
+                                     mode=shaping.MODES[k % 6],
+                                     lagrange_weight=0.5)
+        assert_stacked_fd_is_the_loop(mdp, student, teacher, spec)
 
 
 @pytest.mark.parametrize("kw,kind,coefficient", [
