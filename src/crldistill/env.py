@@ -111,10 +111,24 @@ class TokenMdp:
                 read_only(np.tile(self.reward_of, cells)))
         return tables
 
+    def absorbing(self, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """Beside `rows(cells)`, built once per count on the sampler's first
+        call: its successors flat (by row * vocab_size + token), each terminal
+        state its own (an ended row stays put), and each cell's initial row."""
+        tables = self._stacks.get(("absorbing", cells))
+        if tables is None:
+            successor, terminal, _ = self.rows(cells)
+            rows = np.arange(len(terminal))
+            tables = self._stacks["absorbing", cells] = (
+                read_only(np.where(terminal[:, None], rows[:, None],
+                                   successor).ravel()),
+                read_only(rows[::self.num_states] + self.initial_state))
+        return tables
+
     def tree(self, cells: int) -> "_Steps":
         """The trajectory tree's policy-free arrays (see `enumerate_batch`)
-        for a stack of `cells` copies of the MDP laid out as `rows(cells)`,
-        built once per count and read-only, since every batch shares them."""
+        for `cells` copies laid out as `rows(cells)`, built once per count
+        and read-only, since every batch shares them."""
         tree = self._stacks.get(("tree", cells))
         if tree is None:
             tree = self._stacks["tree", cells] = _Steps(
@@ -194,25 +208,24 @@ def rollout(mdp, student, teacher, spec,
     Steps in plain Python over list forms of the cumulative-probability,
     cost and penalty tables, built once per student logits, teacher and
     spec kinds and kept in `student.tables`, with `rollout_batch`'s token
-    rule: the number of cumulative probabilities <= u, clipped to
-    vocab_size - 1. Draws exactly one `rng.random()` per step, so it samples
-    the episode that `rollout_batch` samples from a row of the same draws,
-    and leaves the stream just past the episode's last step.
+    rule: the number of inner cumulative probabilities (the first
+    vocab_size - 1) <= u. Draws exactly one `rng.random()` per step, so it
+    samples the episode that `rollout_batch` samples from a row of the same
+    draws, and leaves the stream just past the episode's last step.
     """
     key = ("rollout", teacher, spec.cost_kind, spec.penalty_kind)
     lists = student.tables.get(key)
     if lists is None:
         _, cost, pen = state_tables(mdp, student, teacher, spec)
-        lists = student.tables[key] = (_cumulative(student).tolist(),
-                                       cost.tolist(), pen.tolist())
+        cum = np.reshape(_cumulative(student), (-1, len(cost))).T.tolist()
+        lists = student.tables[key] = (cum, cost.tolist(), pen.tolist())
     cum, cost, pen = lists
     successor, terminal, reward = mdp._step_lists
-    last = mdp.vocab_size - 1
     states, tokens, rewards = [], [], []
     s = mdp.initial_state
     for _ in range(mdp.horizon_cap):
         # cum[s] never decreases, so bisect_right counts its entries <= u
-        a = min(bisect.bisect_right(cum[s], rng.random()), last)
+        a = bisect.bisect_right(cum[s], rng.random())
         states.append(s)
         tokens.append(a)
         s = successor[s][a]
@@ -231,31 +244,23 @@ def rollout(mdp, student, teacher, spec,
 def state_tables(mdp, student, teacher, spec):
     """Per-state arrays of a fixed student: action probabilities
     (num_states, vocab_size), and the cost and penalty divergences against
-    the teacher (num_states,), each computed over the whole table at once
-    with the per-state formulas (a stacked student's rows against the
-    teacher's rows of their states). The penalty table is the cost table
-    itself when `spec.penalty_kind == spec.cost_kind`. Built once per student
-    logits, teacher and spec kinds, kept in `student.tables`, read-only.
-    """
-    key = ("state_tables", teacher, spec.cost_kind, spec.penalty_kind)
-    tables = student.tables.get(key)
-    if tables is None:
-        probs = student.action_probs(ALL_STATES)
-        mu = teacher.rows(student.num_states)
-        cost = read_only(dv.divergence(probs, mu, spec.cost_kind))
-        pen = cost if spec.penalty_kind == spec.cost_kind else \
-            read_only(dv.divergence(probs, mu, spec.penalty_kind))
-        tables = student.tables[key] = (probs, cost, pen)
-    return tables
+    the teacher (num_states,) of `divergence.state_divergences`; the penalty
+    table is the cost table itself when the spec's kinds agree."""
+    return (student.action_probs(ALL_STATES),
+            dv.state_divergences(student, teacher, spec.cost_kind)[0],
+            dv.state_divergences(student, teacher, spec.penalty_kind)[0])
 
 
-def _cumulative(student) -> np.ndarray:
-    """Each state's cumulative action probabilities, the samplers' token
-    rule table; built once per student logits."""
+def _cumulative(student) -> tuple[np.ndarray, ...]:
+    """The samplers' token rule table: the inner cumulative action
+    probabilities (the first vocab_size - 1), added left to right as
+    np.cumsum adds them, one array per column; built once per logits."""
     cum = student.tables.get("cumulative")
     if cum is None:
-        cum = student.tables["cumulative"] = read_only(
-            np.cumsum(student.action_probs(ALL_STATES), axis=1))
+        columns = []
+        for column in student.action_probs(ALL_STATES).T[:-1]:
+            columns.append(columns[-1] + column if columns else column.copy())
+        cum = student.tables["cumulative"] = tuple(map(read_only, columns))
     return cum
 
 
@@ -271,21 +276,24 @@ class _Steps(NamedTuple):
     rewards: np.ndarray
 
 
-def _task_steps(rows, states, tokens, lengths, terminated) -> _Steps:
-    """The steps with their `live` mask and task rewards, looked up in the
-    (transition, terminal, reward_of) `rows` that `states` index."""
-    successor, _, reward_of = rows
-    live = np.arange(states.shape[1]) < lengths[:, None]
-    rewards = np.where(live, reward_of[successor[states, tokens]], 0.0)
-    return _Steps(states, tokens, lengths, terminated, live, rewards)
+def _finish(rows, states, tokens, final) -> _Steps:
+    """The steps of rows that stepped on `rows` (`TokenMdp.rows`) with
+    states[:, t] before step t, tokens[:, t] drawn there and `final` at the
+    end. A row acts while its state is not terminal; after that, its steps
+    are zeroed (rewards are 0 or 1, so the product keeps their bits)."""
+    _, terminal, reward_of = rows
+    live = ~terminal.take(states)
+    entered = np.concatenate((states[:, 1:], final[:, None]), axis=1)
+    return _Steps(states * live, tokens * live, live.sum(axis=1),
+                  terminal.take(final), live, reward_of.take(entered) * live)
 
 
 def _lookup_batch(steps: _Steps, cost, pen) -> TrajectoryBatch:
     """The batch of the given steps, with costs and penalties from the
     per-state tables of `state_tables` (0 past each row's length)."""
-    costs = np.where(steps.live, cost[steps.states], 0.0)
-    pens = costs if pen is cost else np.where(steps.live, pen[steps.states],
-                                              0.0)
+    costs = np.where(steps.live, cost.take(steps.states), 0.0)
+    pens = costs if pen is cost else np.where(steps.live,
+                                              pen.take(steps.states), 0.0)
     batch = TrajectoryBatch(steps.states, steps.tokens, steps.lengths,
                             steps.rewards, costs, pens, steps.terminated)
     batch.live = steps.live  # fills the cached property
@@ -300,11 +308,11 @@ def rollout_batch(mdp, student, teacher, spec,
     cell c and is row c * B + b of the batch.
 
     Row k acts at step t on `uniforms[k, t]` with the token rule of
-    `rollout`: the number of cumulative probabilities <= u, clipped to
-    vocab_size - 1. A row filled with the first horizon_cap draws of a stream
-    therefore gives the episode `rollout` samples from that stream. The
-    student is fixed for the call, so all rows step together on its
-    cumulative-probability, cost and penalty tables and on `mdp.rows(C)`.
+    `rollout`: the number of inner cumulative probabilities <= u. A row
+    filled with the first horizon_cap draws of a stream therefore gives the
+    episode `rollout` samples from that stream. The student is fixed for the
+    call, so every row steps at every step (an ended one stays where it is)
+    until no row runs, on its tables and on `mdp.rows(C)`.
     """
     u = np.asarray(uniforms, dtype=np.float64)
     if u.ndim == 2:
@@ -316,30 +324,25 @@ def rollout_batch(mdp, student, teacher, spec,
     if student.num_states != cells * mdp.num_states:
         raise ValueError(f"a student of {student.num_states} states cannot"
                          f" sample {cells} cells of {mdp.num_states}")
-    u = u.reshape(count, mdp.horizon_cap)
+    draws = u.reshape(count, mdp.horizon_cap).T.copy()
     rows = mdp.rows(cells)
-    successor, terminal, _ = rows
+    successor, first = mdp.absorbing(cells)
     _, cost, pen = state_tables(mdp, student, teacher, spec)
     cum = _cumulative(student)
 
-    states = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
-    tokens = np.zeros((count, mdp.horizon_cap), dtype=np.int64)
-    lengths = np.zeros(count, dtype=np.int64)
-    state = np.repeat(np.arange(cells) * mdp.num_states + mdp.initial_state,
-                      count // cells)
+    states = np.empty((count, mdp.horizon_cap), dtype=np.int64)
+    tokens = np.zeros(states.shape, dtype=np.int64)
+    state = first.repeat(count // cells)
     for t in range(mdp.horizon_cap):
-        running = np.flatnonzero(~terminal[state])
-        if running.size == 0:
+        states[:, t] = state
+        token = tokens[:, t]
+        for column in cum:
+            token += column.take(state) <= draws[t]
+        state = successor.take(state * mdp.vocab_size + token)
+        if np.logical_and.reduce(rows[1].take(state)):
+            states[:, t + 1:] = state[:, None]  # every row has ended
             break
-        s = state[running]
-        a = np.minimum((cum[s] <= u[running, t, None]).sum(axis=1),
-                       mdp.vocab_size - 1)
-        states[running, t] = s
-        tokens[running, t] = a
-        lengths[running] = t + 1
-        state[running] = successor[s, a]
-    return _lookup_batch(_task_steps(rows, states, tokens, lengths,
-                                     terminal[state]), cost, pen)
+    return _lookup_batch(_finish(rows, states, tokens, state), cost, pen)
 
 
 def _build_tree(mdp, cells: int) -> _Steps:
@@ -353,28 +356,22 @@ def _build_tree(mdp, cells: int) -> _Steps:
     the longest row.
     """
     v, width = mdp.vocab_size, mdp.horizon_cap
-    successor, terminal, _ = mdp.rows(cells)
-    states = np.zeros((cells, width), dtype=np.int64)
+    rows = mdp.rows(cells)
+    successor, terminal, _ = rows
+    walk = np.zeros((cells, width + 1), dtype=np.int64)
+    walk[:, 0] = np.arange(cells) * mdp.num_states + mdp.initial_state
     tokens = np.zeros((cells, width), dtype=np.int64)
-    lengths = np.zeros(cells, dtype=np.int64)
-    state = np.arange(cells) * mdp.num_states + mdp.initial_state
-    for t in range(width):
-        done = terminal[state]
-        if done.all():
-            break
-        states, tokens, lengths, state = (
-            np.repeat(x, np.where(done, 1, v), axis=0)
-            for x in (states, tokens, lengths, state))
-        rows = np.flatnonzero(~terminal[state])
-        s = state[rows]
-        a = np.tile(np.arange(v), len(rows) // v)
-        states[rows, t] = s
-        tokens[rows, t] = a
-        lengths[rows] = t + 1
-        state[rows] = successor[s, a]
-    cut = lengths.max()
-    return _task_steps(mdp.rows(cells), states[:, :cut].copy(),
-                       tokens[:, :cut].copy(), lengths, terminal[state])
+    t = 0
+    while t < width and not (done := terminal[walk[:, t]]).all():
+        walk, tokens = (np.repeat(x, np.where(done, 1, v), axis=0)
+                        for x in (walk, tokens))
+        running = ~terminal[walk[:, t]]
+        tokens[running, t] = np.tile(np.arange(v), running.sum() // v)
+        walk[:, t + 1] = np.where(running, successor[walk[:, t], tokens[:, t]],
+                                  walk[:, t])
+        t += 1
+    # t is now the longest row's length
+    return _finish(rows, walk[:, :t], tokens[:, :t], walk[:, t])
 
 
 def enumerate_batch(mdp, student, teacher, spec,
@@ -561,9 +558,14 @@ def load_task(path) -> TokenMdp:
             raise ValueError(f"{name} must be a mapping")
     for name, value in [*((k, raw[k]) for k in _COUNT_KEYS),
                         *(("transition target", x)
-                          for x in raw["transitions"].values())]:
+                          for x in raw["transitions"].values()),
+                        *(("terminal state", x)
+                          for x in raw["terminal_rewards"])]:
         if not is_count(value):
             raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    for r in raw["terminal_rewards"].values():
+        if isinstance(r, bool) or not isinstance(r, (int, float)):
+            raise ValueError(f"terminal reward must be a number, got {r!r}")
     n, v = raw["num_states"], raw["vocab_size"]
     trans = {}
     for key, nxt in raw["transitions"].items():
@@ -575,7 +577,7 @@ def load_task(path) -> TokenMdp:
     # counted before a states x tokens table is built
     if len(trans) < n * v:
         raise ValueError("transition map must be total over states x tokens")
-    rewards = {int(s): float(r) for s, r in raw["terminal_rewards"].items()}
+    rewards = {s: float(r) for s, r in raw["terminal_rewards"].items()}
     table = [[trans[s, a] for a in range(v)] for s in range(n)]
     return TokenMdp(n, v, table, raw["initial_state"], frozenset(rewards),
                     raw["horizon_cap"], rewards)

@@ -2,6 +2,7 @@
 # the explicit divergence-dependence term, and exact enumeration oracles.
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ import numpy as np
 from . import divergence as dv
 from . import shaping
 from .env import TrajectoryBatch, discounted_sum, enumerate_batch
-from .policies import ALL_STATES, SoftmaxPolicy
+from .policies import ALL_STATES, SoftmaxPolicy, read_only
 from .shaping import ConstrainedRewardSpec
 
 BASELINE_NONE = "none"
@@ -30,38 +31,39 @@ class GradientEstimate:
 
 def _returns_to_go(rewards, discount: float) -> np.ndarray:
     """Discounted reward-to-go of each row of a (B, T) reward array, built
-    backwards one column at a time from the last column with a nonzero
-    entry. Entries past a row's length must be 0, so the row's last step
-    sees a continuation of 0; the skipped trailing columns are +0.0, which
-    the loop would give them whatever the sign of their zeros."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.zeros_like(rewards)
-    g = np.zeros(len(rewards))
-    used = np.flatnonzero(rewards.any(axis=0))
-    for t in range(used[-1] if used.size else -1, -1, -1):
-        g = rewards[:, t] + discount * g
-        out[:, t] = g
+    backwards in place on a copy from the last column with a nonzero entry.
+    Entries past a row's length must be 0, so a row's last step sees a
+    continuation of 0; skipped trailing columns are +0.0, as in the loop."""
+    out = np.array(rewards, dtype=np.float64)
+    used = out.any(axis=0).nonzero()[0]
+    last = used[-1] if used.size else -1
+    out[:, last + 1:] = 0.0
+    later = 0.0  # the last column's continuation
+    for t in range(last, -1, -1):
+        out[:, t] += discount * later
+        later = out[:, t]
     return out
 
 
 def _group_baselines(credits: np.ndarray, groups,
-                     lengths: np.ndarray) -> np.ndarray:
+                     live: np.ndarray) -> np.ndarray:
     """Per step index, the mean credit over group members still running.
 
     Groups are disjoint and equally large: the rows of a (G, size) index
-    array. Each group's members are added in row order, as a running scalar
-    sum adds them; past a member's length its credit is 0, which leaves the
-    sum's bits unchanged.
+    array. Each group's members are added in row order from 0.0 (one
+    gather, then np.add.accumulate), as a running scalar sum adds them; past
+    a member's length (`live` masks the batch's steps) its credit is 0,
+    which leaves the sum's bits unchanged.
     """
     index = np.asarray(groups)
     if index.ndim != 2 or index.shape[1] < 2:
         raise ValueError("group baseline requires equal groups of at least 2")
-    total = np.zeros((len(index), credits.shape[1]))
-    for member in index.T:  # each group's j-th member, for j in turn
-        total = total + credits[member]
-    running = lengths[index][..., None] > np.arange(credits.shape[1])
-    base = np.zeros_like(credits)
-    base[index] = (total / np.maximum(running.sum(axis=1), 1))[:, None]
+    members = np.zeros((index.shape[1] + 1, len(index), credits.shape[1]))
+    members[1:] = credits.take(index.T, axis=0)
+    running = live.take(index.T, axis=0).sum(axis=0)
+    base = np.zeros(credits.shape)
+    base[index] = (np.add.accumulate(members)[-1]
+                   / np.maximum(running, 1))[:, None]
     return base
 
 
@@ -75,7 +77,7 @@ def _weights(batch, weights: Sequence[float] | None,
 
 
 def _spec_blocks(batch: TrajectoryBatch, spec):
-    """(spec, block of rows) per run of equal specs, and the rows per cell.
+    """(spec, block, row slice) per run of equal specs, and the rows per cell.
 
     `spec` is one spec for the whole batch, or one per cell of a student
     that stacks C cells' tables: the batch's rows are then C equal blocks in
@@ -89,87 +91,90 @@ def _spec_blocks(batch: TrajectoryBatch, spec):
                          f" {len(specs)} cells")
     blocks, start = [], 0
     for cell_spec, run in itertools.groupby(specs):
-        stop = start + size * len(list(run))
-        blocks.append((cell_spec, batch.block(start, stop)))
-        start = stop
+        rows = slice(start, start + size * len(list(run)))
+        blocks.append((cell_spec, batch.block(rows.start, rows.stop), rows))
+        start = rows.stop
     return blocks, size
 
 
-def _accumulate(shape, states: np.ndarray, minus: np.ndarray,
-                plus: np.ndarray | None = None,
-                tokens: np.ndarray | None = None) -> np.ndarray:
-    """A zero (num_states, vocab_size) table after, for each step k in turn,
-    `table[states[k]] -= minus[k]` and then, when given,
-    `table[states[k], tokens[k]] += plus[k]`.
+@functools.lru_cache(maxsize=64)
+def _entry_index(num_states: int, vocab: int):
+    """`_accumulate`'s flat indices per shape: term i's for a step s, a (by
+    s * V + a) are s's row then s * V + a; term ii's, s's row of table 2."""
+    flat = np.arange(num_states * vocab)
+    term_i = (flat - flat % vocab)[:, None] + np.arange(vocab + 1)
+    term_i[:, vocab] = flat
+    return read_only(term_i), read_only(flat.reshape(-1, vocab) + flat.size)
 
-    The updates are laid out in that order and applied by one np.add.at,
-    which adds repeated indices in index order; x - y and x + (-y) are the
-    same IEEE operation, so every entry gets the loop's bits.
-    """
-    vocab = shape[1]
-    width = vocab if plus is None else vocab + 1
-    index = np.empty((len(states), width), dtype=np.int64)
-    values = np.empty((len(states), width))
-    index[:, :vocab] = (states * vocab)[:, None] + np.arange(vocab)
-    values[:, :vocab] = -minus
-    if plus is not None:
-        index[:, vocab] = states * vocab + tokens
-        values[:, vocab] = plus
-    table = np.zeros(shape[0] * vocab)
-    np.add.at(table, index.ravel(), values.ravel())
-    return table.reshape(shape)
+
+def _accumulate(shape, entries) -> np.ndarray:
+    """Term i's and term ii's tables, shape (2, *shape): zero tables after
+    adding the (index, values) `entries` in order, by one np.bincount, which
+    adds repeated indices in input order as a loop would. x - y and x + (-y)
+    are the same IEEE operation, so the loop's subtractions are additions of
+    negated values here."""
+    index = np.concatenate([i.ravel() for i, _ in entries])
+    values = np.concatenate([v.ravel() for _, v in entries])
+    return np.bincount(index, values, 2 * shape[0] * shape[1]).reshape(
+        2, *shape)
 
 
 def likelihood_ratio_term(student, batch: TrajectoryBatch,
                           credits: np.ndarray, groups=None,
-                          weights: Sequence[float] | None = None) -> np.ndarray:
-    """Weighted sum over trajectories of sum_t grad log pi(a_t|s_t) * advantage_t.
+                          weights: Sequence[float] | None = None):
+    """Weighted sum over trajectories of sum_t grad log pi(a_t|s_t) * advantage_t,
+    as `_accumulate`'s (index, values) entries: for each live step in turn,
+    minus its advantage times its state's action probabilities, then plus
+    its advantage at its token.
 
     `credits` holds the batch's (B, T) per-step credits, 0 past each row's
     length; the advantage is the credit less, when `groups` is given, its
     group's baseline. The default weights 1/B give the sampled mean; leaf
     probabilities give the exact expectation.
     """
-    base = 0.0 if groups is None else \
-        _group_baselines(credits, groups, batch.lengths)
-    adv = ((credits - base) * _weights(batch, weights)[:, None])[batch.live]
-    states = batch.states[batch.live]
+    if groups is not None:
+        credits = credits - _group_baselines(credits, groups, batch.live)
+    steps = batch.live.ravel().nonzero()[0]  # row k's lengths[k] in turn
+    adv = credits.ravel().take(steps) * _weights(batch, weights).repeat(
+        batch.lengths)
+    states = batch.states.ravel().take(steps)
     probs = student.action_probs(ALL_STATES)
-    return _accumulate(student.logits.shape, states,
-                       adv[:, None] * probs[states], adv,
-                       batch.tokens[batch.live])
+    vocab = probs.shape[1]
+    values = np.ones((len(probs), vocab + 1))  # the token entry's factor
+    values[:, :vocab] = probs
+    values = values.take(states, axis=0)
+    values *= adv.repeat(vocab + 1).reshape(values.shape)
+    np.negative(values, out=values)
+    values[:, vocab] = adv
+    acting = states * vocab + batch.tokens.ravel().take(steps)
+    return _entry_index(*probs.shape)[0].take(acting, axis=0), values
 
 
 def explicit_dependence_term(student, teacher, blocks: list,
-                             weights: np.ndarray) -> np.ndarray:
+                             weights: np.ndarray) -> list:
     """Minus the weighted, discounted divergence gradient on the steps whose
     shaped reward contains the divergence itself, as `shaping.term_ii_rule`
-    names them for each block's spec. `blocks` is `total_gradient`'s list
-    of (spec, block of rows), which together hold the batch's rows in
-    order, and `weights` has one entry per row."""
-    states, values = [], []
-    start = 0
-    for spec, block in blocks:
-        rows = slice(start, start + len(block))
-        start = rows.stop
+    names them for each block's spec: per block, `_accumulate`'s (index,
+    values) entries, each such step's gradient row in turn. `blocks` are
+    `total_gradient`'s (spec, rows, row slice), and `weights` per row."""
+    entries = []
+    for spec, block, rows in blocks:
         kind, coefficient, mask = shaping.term_ii_rule(spec)
         if coefficient == 0.0:
             continue
         flags = mask(block, spec) if mask else block.live
-        # weight * coefficient, times the discount once per step, left to
-        # right
-        factors = np.full((len(block), block.states.shape[1] + 1),
-                          spec.discount)
+        # weight * coefficient, then times the discount once per step
+        factors = np.full(block.states.shape, spec.discount)
         factors[:, 0] = weights[rows] * coefficient
-        scale = np.multiply.accumulate(factors, axis=1)[:, :-1]
-        steps = block.states[flags]
+        steps = flags.ravel().nonzero()[0]
+        states = block.states.ravel().take(steps)
         grads = dv.divergence_gradient(student, teacher, ALL_STATES, kind)
-        states.append(steps)
-        values.append(scale[flags][:, None] * grads[steps])
-    if not states:
-        return np.zeros_like(student.logits)
-    return _accumulate(student.logits.shape, np.concatenate(states),
-                       np.concatenate(values))
+        values = grads.take(states, axis=0)
+        values *= np.multiply.accumulate(factors, axis=1).ravel().take(
+            steps)[:, None]
+        entries.append((_entry_index(*grads.shape)[1].take(states, axis=0),
+                        np.negative(values, out=values)))
+    return entries
 
 
 def total_gradient(student, teacher, trajectories,
@@ -192,8 +197,8 @@ def total_gradient(student, teacher, trajectories,
     stacks C cells' tables (see `env.rollout_batch`): the batch's rows are
     then C equal blocks, block c sampled by cell c and shaped, credited and
     given term ii by its spec, and the default weights are 1/B for blocks of
-    B rows. Each term makes one np.add.at in each cell's loop order, so cell
-    c's rows of the result have the bits of a one-cell call on its block.
+    B rows. One np.bincount adds both terms in each cell's loop order, so
+    cell c's rows of the result have the bits of a one-cell call on it.
     """
     if baseline not in (BASELINE_NONE, BASELINE_GROUP):
         raise ValueError(f"unknown baseline mode {baseline!r}")
@@ -202,15 +207,16 @@ def total_gradient(student, teacher, trajectories,
     batch = TrajectoryBatch.stack(trajectories)
     blocks, size = _spec_blocks(batch, spec)
     weights = _weights(batch, weights, size)
-    credits = []
-    for cell_spec, block in blocks:
+    credits = np.empty(batch.rewards.shape)
+    for cell_spec, block, rows in blocks:
         shaped = shaping.shape_rewards(block, cell_spec)
-        credits.append(shaped if cell_spec.mode == shaping.KL_ONLY
-                       else _returns_to_go(shaped, cell_spec.discount))
-    term_i = likelihood_ratio_term(
-        student, batch, np.concatenate(credits),
-        groups if baseline == BASELINE_GROUP else None, weights)
-    term_ii = explicit_dependence_term(student, teacher, blocks, weights)
+        credits[rows] = shaped if cell_spec.mode == shaping.KL_ONLY \
+            else _returns_to_go(shaped, cell_spec.discount)
+    term_i, term_ii = _accumulate(student.logits.shape, [
+        likelihood_ratio_term(student, batch, credits,
+                              groups if baseline == BASELINE_GROUP else None,
+                              weights),
+        *explicit_dependence_term(student, teacher, blocks, weights)])
     return GradientEstimate(term_i + term_ii, term_i, term_ii, len(batch))
 
 

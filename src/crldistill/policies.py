@@ -1,7 +1,7 @@
 # Tabular softmax student policies and frozen teacher tables.
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,6 +113,7 @@ class TeacherPolicy:
 
     probs: np.ndarray
     floor: float = DEFAULT_FLOOR
+    _stacks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=np.float64)
@@ -141,11 +142,14 @@ class TeacherPolicy:
 
     def rows(self, count: int) -> np.ndarray:
         """`probs` repeated down to `count` rows, one copy per cell of a
-        student that stacks count // num_states cells; `probs` itself for
-        one cell."""
+        student that stacks count // num_states cells: `probs` itself for
+        one cell, otherwise built once per count and read-only."""
         if count == len(self.probs):
             return self.probs
-        return np.tile(self.probs, (count // len(self.probs), 1))
+        if count not in self._stacks:
+            self._stacks[count] = read_only(np.concatenate(
+                [self.probs] * (count // len(self.probs))))
+        return self._stacks[count]
 
 
 def teacher_copy(teacher: TeacherPolicy, floor: float | None = None) -> SoftmaxPolicy:

@@ -66,11 +66,12 @@ def remaining_budget(costs: np.ndarray, budget: float) -> np.ndarray:
     `costs` is a (B, T) array; the result has the same shape.
     """
     c = np.asarray(costs, dtype=np.float64)
-    if (c < 0).any():
+    if np.fmin.reduce(c, axis=None, initial=0.0) < 0:  # NaN entries skipped
         raise ValueError("costs must be nonnegative")
-    # accumulate runs left to right: budget, budget - c0, (budget - c0) - c1
-    steps = np.concatenate([np.full((len(c), 1), budget), c], axis=1)
-    return np.subtract.accumulate(steps, axis=1)[:, :-1]
+    # accumulate runs left to right, in place: budget, budget - c0, ...
+    steps = np.empty((len(c), c.shape[1] + 1))
+    steps[:, 0], steps[:, 1:] = budget, c
+    return np.subtract.accumulate(steps, axis=1, out=steps)[:, :-1]
 
 
 def _ledger(batch: TrajectoryBatch, budget: float) -> np.ndarray:

@@ -107,8 +107,10 @@ class AdamAscent:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.step_count += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        self.m *= ADAM_BETA1  # the moments in place, in the same order
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
         mhat = self.m / (1.0 - ADAM_BETA1 ** self.step_count)
         vhat = self.v / (1.0 - ADAM_BETA2 ** self.step_count)
         return params + self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)

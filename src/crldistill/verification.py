@@ -169,8 +169,7 @@ def check_assumptions(mdp, teacher, spec: ConstrainedRewardSpec,
             floor=floor)
         grads = dv.divergence_gradient(student, teacher, ALL_STATES,
                                        spec.penalty_kind)
-        vals = dv.divergence(student.action_probs(ALL_STATES), mu,
-                             spec.penalty_kind)
+        vals = dv.state_divergences(student, teacher, spec.penalty_kind)[0]
         ok = np.isfinite(vals) & np.isfinite(grads).all(axis=1)
         if not ok.all():
             finite = False

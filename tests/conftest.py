@@ -2,9 +2,11 @@
 # the acceptance tests that read its metrics all reuse one run.
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from crldistill import harness
+from crldistill import env, harness
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TENSION_CONFIG = REPO_ROOT / "configs" / "tension.yaml"
@@ -44,3 +46,38 @@ def method_means(rows):
                 sum(r["violation_probability"] for r in group) / len(group),
         })
     return means
+
+
+BATCH_FIELDS = ("states", "tokens", "lengths", "rewards", "costs",
+                "penalties", "terminated")
+
+
+def replay_rollouts(mdp, student, teacher, spec, rng, episodes,
+                    chunk=2**15):
+    """The batch of `episodes` successive `env.rollout` calls on `rng`,
+    stacked, sampled by `env.rollout_batch` instead.
+
+    `env.rollout` draws one `rng.random()` per step, so episode k starts
+    where episode k-1's draws end. The stream is drawn flat, `chunk` values
+    at a time (`rng.random(n)` gives the values of n scalar draws);
+    `rollout_batch` samples the episode that starts at every offset of a
+    chunk from the horizon_cap draws there, and the offsets of the replayed
+    episodes are chased through those episodes' lengths. Leaves `rng` past
+    the chunks it drew.
+    """
+    parts, carry = [], np.empty(0)
+    while episodes:
+        draws = np.concatenate((carry, rng.random(chunk)))
+        batch = env.rollout_batch(
+            mdp, student, teacher, spec,
+            sliding_window_view(draws, mdp.horizon_cap))
+        lengths = batch.lengths.tolist()
+        starts, offset = [], 0
+        while episodes and offset < len(lengths):
+            starts.append(offset)
+            offset += lengths[offset]
+            episodes -= 1
+        parts.append(env.TrajectoryBatch(*(getattr(batch, name)[starts]
+                                           for name in BATCH_FIELDS)))
+        carry = draws[offset:]
+    return env.TrajectoryBatch.stack(parts)

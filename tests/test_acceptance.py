@@ -20,7 +20,8 @@ from crldistill.verification import (check_violation_trend,
                                      TENSION_SPEC_KW, TENSION_TRAIN_KW,
                                      tension_suite)
 
-from conftest import TENSION_CONFIG, method_means
+from conftest import (BATCH_FIELDS, TENSION_CONFIG, method_means,
+                      replay_rollouts)
 
 
 # ---------------------------------------------------------------------------
@@ -103,28 +104,79 @@ def test_exact_gradient_matches_finite_differences():
 # 4. The sampled estimator is unbiased for the enumeration oracle
 
 
-def test_estimator_unbiased_over_sampled_batches():
+def unbiasedness_case():
     mdp = env.chain_with_distractors(decision_states=2, horizon_cap=6)
     teacher = env.tension_teacher(mdp)
     student = SoftmaxPolicy(np.random.default_rng(123).normal(
         scale=0.7, size=(mdp.num_states, mdp.vocab_size)))
-    spec = ConstrainedRewardSpec(budget=0.2)
+    return mdp, student, teacher, ConstrainedRewardSpec(budget=0.2)
+
+
+def stacked_estimates(mdp, student, teacher, spec, trajs, batch_size):
+    """The `total_gradient` table without baseline of each run of
+    batch_size rows of `trajs`, in order, shape (batches, S, V): one call
+    on a student that stacks one copy per batch, each batch a cell whose
+    live states are offset by c * num_states; each cell's rows have the
+    bits of a one-batch call."""
+    cells = len(trajs) // batch_size
+    stacked = SoftmaxPolicy(np.tile(student.logits, (cells, 1)),
+                            student.floor)
+    offsets = np.repeat(np.arange(cells) * mdp.num_states, batch_size)
+    batch = env.TrajectoryBatch(
+        np.where(trajs.live, trajs.states + offsets[:, None], 0),
+        *(getattr(trajs, name) for name in BATCH_FIELDS[1:]))
+    return gradients.total_gradient(
+        stacked, teacher, batch, [spec] * cells,
+        baseline=gradients.BASELINE_NONE).table.reshape(
+            cells, *student.logits.shape)
+
+
+def test_replayed_batches_are_the_scalar_rollouts():
+    # the unbiasedness test's replay and stacked estimates, against
+    # env.rollout episodes drawn one scalar at a time and one
+    # total_gradient call per batch, on a prefix of its stream
+    mdp, student, teacher, spec = unbiasedness_case()
+    rng = np.random.default_rng(7)
+    scalar = [env.rollout(mdp, student, teacher, spec, rng)
+              for _ in range(4000)]
+    replay = replay_rollouts(mdp, student, teacher, spec,
+                             np.random.default_rng(7), 4000, chunk=999)
+    want = env.TrajectoryBatch.stack(scalar)
+    for name in BATCH_FIELDS:
+        got = getattr(replay, name)
+        assert (got.dtype, got.shape) == (getattr(want, name).dtype,
+                                          getattr(want, name).shape)
+        assert got.tobytes() == getattr(want, name).tobytes(), name
+    samples = stacked_estimates(mdp, student, teacher, spec, replay, 4)
+    for k in (0, 1, 500, 999):
+        one = gradients.total_gradient(
+            student, teacher, scalar[4 * k:4 * k + 4], spec,
+            baseline=gradients.BASELINE_NONE).table
+        assert samples[k].tobytes() == one.tobytes()
+
+
+def test_estimator_unbiased_over_sampled_batches():
+    mdp, student, teacher, spec = unbiasedness_case()
     exact = gradients.exact_gradient(mdp, student, teacher, spec).table
 
+    # 10**5 batches of 4 successive scalar rollouts from one stream, seed 7
+    # (replayed by rollout_batch), each batch's estimate without baseline
     batches = 10**5
     batch_size = 4
-    rng = np.random.default_rng(7)
+    trajs = replay_rollouts(mdp, student, teacher, spec,
+                            np.random.default_rng(7), batches * batch_size)
     mean = np.zeros_like(student.logits)
     m2 = np.zeros_like(student.logits)
-    for i in range(batches):
-        trajs = [env.rollout(mdp, student, teacher, spec, rng)
-                 for _ in range(batch_size)]
-        sample = gradients.total_gradient(
-            student, teacher, trajs, spec,
-            baseline=gradients.BASELINE_NONE).table
-        delta = sample - mean
-        mean += delta / (i + 1)
-        m2 += delta * (sample - mean)
+    i = 0
+    for first in range(0, batches * batch_size, 1000 * batch_size):
+        for sample in stacked_estimates(
+                mdp, student, teacher, spec,
+                trajs.block(first, first + 1000 * batch_size), batch_size):
+            delta = sample - mean
+            mean += delta / (i + 1)
+            m2 += delta * (sample - mean)
+            i += 1
+    assert i == batches
 
     se = np.sqrt(m2 / (batches - 1) / batches)
     diff = np.abs(mean - exact)

@@ -92,6 +92,15 @@ BAD_TASKS = {
         lambda doc: doc.update(num_states=doc["num_states"] + 0.9),
     "fractional horizon_cap": lambda doc: doc.update(horizon_cap=2.5),
     "bool horizon_cap": lambda doc: doc.update(horizon_cap=True),
+    "fractional terminal state":
+        lambda doc: doc["terminal_rewards"].update({3.5: doc[
+            "terminal_rewards"].pop(3)}),
+    "bool terminal state":
+        lambda doc: doc["terminal_rewards"].update({True: 0.0}),
+    "bool terminal reward":
+        lambda doc: doc["terminal_rewards"].update({2: True}),
+    "string terminal reward":
+        lambda doc: doc["terminal_rewards"].update({2: "1"}),
 }
 
 

@@ -125,7 +125,8 @@ def test_error_state_is_set_only_for_zero_entries():
         with np.errstate(all="raise"):
             positive = dv.divergence(p, q, kind)
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert positive.tobytes() == dv._divergence(p, q, kind).tobytes()
+            assert positive.tobytes() == \
+                dv._divergence(p, q, kind)[0].tobytes()
         # a zero entry takes a log of 0, which must stay quiet
         with np.errstate(all="raise"):
             zeros = dv.divergence(zero_p, zero_q, kind)
@@ -144,9 +145,8 @@ def test_error_state_is_set_only_for_zero_entries():
             positive = dv.divergence_gradient(student, teacher, ALL_STATES,
                                               kind)
         with np.errstate(divide="ignore", invalid="ignore"):
-            reference = dv._gradient_table(
-                student.action_probs(ALL_STATES), teacher.probs,
-                student.raw_probs(ALL_STATES), 1.0, kind)
+            reference = dv.divergence_gradient(
+                SoftmaxPolicy(logits, floor=0.0), teacher, ALL_STATES, kind)
         assert positive.tobytes() == reference.tobytes()
         zero_student = SoftmaxPolicy(zero_logits, floor=0.0)
         with np.errstate(under="ignore"):  # the softmax's own underflow

@@ -155,6 +155,39 @@ def test_rollout_batch_matches_rollout_per_key(mode, penalty_kind):
         assert (batch.costs != batch.penalties).any()
 
 
+def test_rollout_batch_matches_rollout_on_random_instances():
+    # terminal states of random instances have outgoing transitions, which
+    # an ended row must not follow; rows are cut at horizon_cap, and some
+    # batches end before it. Each cell of a stacked student (C=3) samples
+    # what it samples alone, and what env.rollout samples from each row.
+    rng = np.random.default_rng(17)
+    cut = early = 0
+    for k in range(100):
+        mdp, student, teacher = random_instance(rng)
+        cells = [student] + [SoftmaxPolicy(rng.normal(
+            scale=1.5, size=student.logits.shape)) for _ in range(2)]
+        stack = SoftmaxPolicy(np.concatenate([c.logits for c in cells]))
+        spec = ConstrainedRewardSpec(
+            penalty_kind=(REVERSE_KL, JENSEN_SHANNON)[k % 2])
+        uniforms = rng.random((3, 16, mdp.horizon_cap))
+        batch = env.rollout_batch(mdp, stack, teacher, spec, uniforms)
+        n = mdp.num_states
+        for c, cell in enumerate(cells):
+            alone = env.rollout_batch(mdp, cell, teacher, spec, uniforms[c])
+            assert_same_batch(env.TrajectoryBatch.stack(
+                [env.rollout(mdp, cell, teacher, spec, _FixedStream(row))
+                 for row in uniforms[c]]), alone)
+            part = batch.block(16 * c, 16 * (c + 1))
+            assert part.states.tobytes() == np.where(
+                alone.live, alone.states + n * c, 0).tobytes()
+            for name in set(BATCH_FIELDS) - {"states"}:
+                assert getattr(part, name).tobytes() == \
+                    getattr(alone, name).tobytes(), name
+            cut += (~alone.terminated).any()
+            early += alone.lengths.max() < mdp.horizon_cap
+    assert cut and early
+
+
 @pytest.mark.parametrize("kind", [REVERSE_KL, JENSEN_SHANNON])
 def test_stacked_student_rows_equal_each_cells_tables(kind):
     # a student that stacks C cells' logit tables (cell c's state s in row

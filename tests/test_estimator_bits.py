@@ -503,8 +503,9 @@ def test_accumulation_keeps_the_loop_order():
     shaped = [[r] for r in advs]
     weights = [1.0] * 4
     want = ref_term_i(student, trajs, shaped, None, "step", 1.0, weights)
-    got = gradients.likelihood_ratio_term(student, batch, np.array(shaped),
-                                          weights=weights)
+    got = gradients.total_gradient(
+        student, None, batch, ConstrainedRewardSpec(mode=shaping.REWARD_ONLY),
+        weights=weights).term_i
     assert_same_bits(got, want)
     # the case has teeth: the reversed order, and the probability parts and
     # token parts summed apart and then added (two bincounts), differ
@@ -526,7 +527,7 @@ def test_group_sums_keep_the_member_order():
     trajs = one_step_rows([k % 2 for k in range(10)], rewards)
     groups = [list(range(10))]
     base = gradients._group_baselines(np.array([[r] for r in rewards]),
-                                      groups, np.ones(10, dtype=np.int64))
+                                      groups, np.ones((10, 1), dtype=bool))
     assert base[0, 0] == 1.0 / 10
     check_estimator(student, None, trajs,
                     ConstrainedRewardSpec(mode=shaping.REWARD_ONLY),

@@ -8,8 +8,7 @@ from crldistill import env, gradients, shaping, verification
 from crldistill.env import TrajectoryBatch
 from crldistill.gradients import (BASELINE_GROUP, BASELINE_NONE, FD_STEP,
                                   boundary_margin, exact_gradient,
-                                  finite_difference_gradient,
-                                  likelihood_ratio_term, total_gradient)
+                                  finite_difference_gradient, total_gradient)
 from crldistill.policies import SoftmaxPolicy, TeacherPolicy
 from crldistill.shaping import ConstrainedRewardSpec
 
@@ -52,9 +51,8 @@ def test_group_baseline_zeroes_identical_returns():
                            np.zeros((1, 2)), np.zeros((1, 2)),
                            np.array([True]))
     batch = TrajectoryBatch.stack([traj, traj, traj])
-    credits = gradients._returns_to_go(shaping.shape_rewards(batch, spec),
-                                       spec.discount)
-    term = likelihood_ratio_term(student, batch, credits, groups=[[0, 1, 2]])
+    term = total_gradient(student, teacher, batch, spec,
+                          baseline=BASELINE_GROUP, groups=[[0, 1, 2]]).term_i
     np.testing.assert_allclose(term, 0.0, atol=1e-15)
 
 
